@@ -13,7 +13,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -283,6 +283,50 @@ class FactoredSignature:
         self._check_aligned(other)
         return all(np.isin(a, b, assume_unique=True).all()
                    for a, b in zip(self.sets, other.sets))
+
+    def covered_size(self, others: Sequence["FactoredSignature"]) -> int:
+        """|self ∩ (union of others)|, exact for any number of others.
+
+        Partition refinement per dimension (the discrete case of Klee's
+        measure problem): the ids of one dimension are grouped by the set of
+        surviving boxes that hold them, and each group recurses on the next
+        dimension with only those boxes. The cost is bounded by the number
+        of distinct groups, not by 2^len(others).
+        """
+        for o in others:
+            self._check_aligned(o)
+        if self.size == 0:
+            return 0
+        memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+        def count(j: int, alive: tuple[int, ...]) -> int:
+            if not alive:
+                return 0
+            if j == len(self.sets):
+                return 1
+            key = (j, alive)
+            if key not in memo:
+                # member[i, c]: box alive[c] holds the i-th id of dimension j
+                ids = self.sets[j]
+                parts = [others[b].sets[j] for b in alive]
+                flat = np.concatenate(parts)
+                box = np.repeat(np.arange(len(alive)), [len(p) for p in parts])
+                pos = np.minimum(np.searchsorted(ids, flat), len(ids) - 1)
+                hit = ids[pos] == flat
+                member = np.zeros((len(ids), len(alive)), dtype=bool)
+                member[pos[hit], box[hit]] = True
+                # group ids by membership pattern, one packed row per id
+                packed = np.packbits(member, axis=1)
+                rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+                _, first, sizes = np.unique(rows, return_index=True,
+                                            return_counts=True)
+                boxes = np.array(alive)
+                memo[key] = sum(
+                    int(n) * count(j + 1, tuple(boxes[member[i]].tolist()))
+                    for i, n in zip(first, sizes))
+            return memo[key]
+
+        return count(0, tuple(range(len(others))))
 
     def enumerate(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
         if self.size > cap:

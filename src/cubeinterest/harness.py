@@ -140,6 +140,9 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     timer = _Timer(timings)
     history = ctx.history.queries()
     scores: dict[str, dict] = {}
+    needs_result = ("surprise" in cfg.metrics
+                    or ("peculiarity" in cfg.metrics and history))
+    result = evaluate(q) if needs_result else None
 
     if "novelty" in cfg.metrics:
         same_measures = filter_history_same_measures(ctx.history, q)
@@ -204,16 +207,15 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             group["syntactic"] = timer.run(
                 "peculiarity.syntactic", peculiarity.syntactic_peculiarity,
                 q, history, cfg.syntactic_agg, cfg.weights)
-            q_result = evaluate(q)
             results = [ctx.history.result_of(e) for e in ctx.history]
             group["value_cr"] = timer.run(
                 "peculiarity.value_cr", peculiarity.value_peculiarity,
                 q, history, metric="closest_relative", agg=cfg.value_agg,
-                q_result=q_result, results=results, pair_cap=cfg.pair_cap)
+                q_result=result, results=results, pair_cap=cfg.pair_cap)
             group["value_hausdorff"] = timer.run(
                 "peculiarity.value_hausdorff", peculiarity.value_peculiarity,
                 q, history, metric="hausdorff", agg=cfg.value_agg,
-                q_result=q_result, results=results, pair_cap=cfg.pair_cap)
+                q_result=result, results=results, pair_cap=cfg.pair_cap)
             k = min(cfg.jaccard_k, len(history))
             group["jaccard"] = timer.run(
                 "peculiarity.jaccard", peculiarity.jaccard_peculiarity,
@@ -229,7 +231,6 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
 
     if "surprise" in cfg.metrics:
         group = {}
-        result = evaluate(q)
         has_values = len(ctx.expected_values) > 0
         group["value"] = timer.run(
             "surprise.value", surprise.value_surprise, result,
@@ -472,13 +473,12 @@ def run_benchmark(cfg: BenchConfig = BenchConfig()) -> dict:
         for h in cfg.history_sizes:
             q, history, goal = _bench_queries(cube, h)
             runners = {
-                "pden": lambda: novelty.pden(q, history, materialize=False),
+                "pden": lambda: novelty.pden(q, history),
                 "pder": lambda: relevance.detailed_relevance(
-                    q, history, mode="partial", basis="extensional",
-                    materialize=False),
+                    q, history, mode="partial", basis="extensional"),
                 "jaccard": lambda: peculiarity.jaccard_peculiarity(
                     q, history, k=min(2, len(history))),
-                "gbdsr": lambda: relevance.gbdsr(q, goal, materialize=False),
+                "gbdsr": lambda: relevance.gbdsr(q, goal),
             }
             # Warmup once per metric: populates rollup-map caches and sizes
             # the inner loop so each timed sample covers >= ~20ms of work.

@@ -1,17 +1,18 @@
 """Novelty metrics: history-based and belief-based coverage of a query.
 
-Every partial metric partitions the assessed universe (query signature,
-detailed signature, result cells, or detailed-area cells) into covered and
-novel parts and reports the novel fraction. Detailed signature scores avoid
-materializing Cartesian products: the covered count of a factored signature
-against a union of factored signatures is computed by inclusion-exclusion
-over per-dimension intersections.
+Every partial metric counts how much of the assessed universe (query
+signature, detailed signature, result cells, or detailed-area cells) is
+covered and how much is novel, and reports the novel fraction. Partitions
+carry exact counts only. Factored signatures are never enumerated: the
+covered count against a union of factored signatures comes from
+`FactoredSignature.covered_size`, and cell universes are compared as packed
+integer keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,35 +29,19 @@ from .engine import (
     query_signature_factored,
     selection_mask,
 )
-from .errors import LevelMismatch, SignatureTooLarge
+from .errors import LevelMismatch
 from .mdm import Dimension
-
-# Partition contents are materialized as coordinate tuples only below this
-# universe size; above it the partition carries exact counts but no sets.
-MATERIALIZE_CAP = 200_000
-
-# Inclusion-exclusion is exact but exponential in the number of factored
-# signatures it unions; beyond this many we fall back to enumeration.
-MAX_UNION_TERMS = 12
 
 
 @dataclass(frozen=True)
 class CoveragePartition:
-    """Covered/novel split of an assessed universe of cells or coordinates.
-
-    `covered` and `novel` are frozensets of coordinate tuples when the
-    universe was small enough to materialize, else None (counts are always
-    exact). `weights` maps covered coordinates to their occurrence count
-    across the covering collection, when occurrence counting was requested
-    and the partition is materialized.
-    """
+    """Exact covered/novel counts of an assessed universe of cells or
+    coordinates. `covered_weight` sums, over the covered part, how many
+    members of the covering collection hold each element."""
 
     universe_size: int
     covered_count: int
     novel_count: int
-    covered: frozenset | None = None
-    novel: frozenset | None = None
-    weights: Mapping[tuple, int] | None = None
     covered_weight: float = 0.0
     skipped_statements: int = 0
 
@@ -85,14 +70,14 @@ class CoveragePartition:
         return self.novel_count / (self.novel_count + self.covered_weight)
 
 
-def _empty_partition(universe_size: int, universe=None,
-                     skipped: int = 0) -> CoveragePartition:
-    mat = universe if universe is not None else None
-    return CoveragePartition(
-        universe_size, 0, universe_size,
-        covered=frozenset() if mat is not None else None,
-        novel=frozenset(mat) if mat is not None else None,
-        skipped_statements=skipped)
+def factored_partition(target: FactoredSignature,
+                       others: Sequence[FactoredSignature]) -> CoveragePartition:
+    """Coverage of a factored signature by the union of others; each other
+    signature adds its overlap with the target to the covered weight."""
+    cov = target.covered_size(others)
+    weight = sum(target.intersection_size(o) for o in others)
+    return CoveragePartition(target.size, cov, target.size - cov,
+                             covered_weight=float(weight))
 
 
 # --- same-level metrics ----------------------------------------------------
@@ -144,43 +129,16 @@ def same_level_partition(q: CubeQuery, others: Sequence[CubeQuery],
     if basis not in ("syntactic", "extensional"):
         raise ValueError(f"unknown basis {basis!r}")
     if basis == "syntactic":
-        sig = query_signature_factored(q)
-        if not others and sig.size > MATERIALIZE_CAP:
-            # nothing to compare against; report the all-novel partition
-            # without materializing a huge signature product
-            return CoveragePartition(sig.size, 0, sig.size)
-        universe = [tuple(c) for c in sig.enumerate()]
-        sigs = [query_signature_factored(qi) for qi in others]
-        membership = [set(s.enumerate()) if s.size <= MATERIALIZE_CAP else s
-                      for s in sigs]
-
-        def count_in(coord):
-            return sum(
-                1 for m in membership
-                if (coord in m if isinstance(m, set) else m.contains(coord)))
-    else:
-        universe = evaluate(q).coord_tuples()
-        result_sets = [set(evaluate(qi).coord_tuples()) for qi in others]
-
-        def count_in(coord):
-            return sum(1 for s in result_sets if coord in s)
-
-    if not others:
-        return _empty_partition(len(universe), universe)
-    covered, novel, weights = set(), set(), {}
-    covered_weight = 0.0
-    for coord in universe:
-        n = count_in(coord)
-        if n > 0:
-            covered.add(coord)
-            weights[coord] = n
-            covered_weight += n
-        else:
-            novel.add(coord)
-    return CoveragePartition(
-        len(universe), len(covered), len(novel),
-        covered=frozenset(covered), novel=frozenset(novel),
-        weights=weights, covered_weight=covered_weight)
+        return factored_partition(
+            query_signature_factored(q),
+            [query_signature_factored(qi) for qi in others])
+    keys = evaluate(q).packed_keys()
+    hits = np.zeros(len(keys), dtype=np.int64)
+    for qi in others:
+        hits += np.isin(keys, evaluate(qi).packed_keys())
+    cov = int(np.count_nonzero(hits))
+    return CoveragePartition(len(keys), cov, len(keys) - cov,
+                             covered_weight=float(hits.sum()))
 
 
 def same_level_novelty(q: CubeQuery, history: Sequence[CubeQuery],
@@ -214,80 +172,13 @@ def _detailed_signature(q: CubeQuery) -> FactoredSignature:
     return condition_signature(q.condition, q.cube, detailed=True)
 
 
-def _union_covered_count(target: FactoredSignature,
-                         others: list[FactoredSignature]) -> int:
-    """|target ∩ (union of others)| by inclusion-exclusion over factored
-    per-dimension intersections."""
-    others = [o for o in others if target.intersection_size(o) > 0]
-    if not others:
-        return 0
-    if len(others) > MAX_UNION_TERMS:
-        raise SignatureTooLarge(
-            f"cannot union {len(others)} factored signatures exactly")
-    cache: dict[int, tuple[np.ndarray, ...] | None] = {0: tuple(target.sets)}
-
-    def sets_for(mask: int):
-        if mask in cache:
-            return cache[mask]
-        low = mask & -mask
-        rest = sets_for(mask ^ low)
-        if rest is None:
-            cache[mask] = None
-            return None
-        other = others[low.bit_length() - 1]
-        sets = []
-        for a, b in zip(rest, other.sets):
-            s = np.intersect1d(a, b, assume_unique=True)
-            if len(s) == 0:
-                cache[mask] = None
-                return None
-            sets.append(s)
-        cache[mask] = tuple(sets)
-        return cache[mask]
-
-    total = 0
-    for mask in range(1, 1 << len(others)):
-        sets = sets_for(mask)
-        if sets is None:
-            continue
-        size = 1
-        for s in sets:
-            size *= len(s)
-        total += size if bin(mask).count("1") % 2 else -size
-    return total
-
-
 def pdsn(q: CubeQuery, history: Sequence[CubeQuery],
-         weighted: bool = False,
-         materialize: bool | None = None) -> tuple[float, CoveragePartition]:
+         weighted: bool = False) -> tuple[float, CoveragePartition]:
     """Partial detailed syntactic novelty: the share of q's detailed
     signature not covered by the union of the history's detailed
     signatures."""
-    target = _detailed_signature(q)
-    others = [_detailed_signature(qi) for qi in history]
-    total = target.size
-    do_sets = materialize if materialize is not None else total <= MATERIALIZE_CAP
-    if do_sets:
-        covered, novel, weights = set(), set(), {}
-        covered_weight = 0.0
-        for coord in target.enumerate(max(total, 1)):
-            n = sum(1 for o in others if o.contains(coord))
-            if n > 0:
-                covered.add(coord)
-                weights[coord] = n
-                covered_weight += n
-            else:
-                novel.add(coord)
-        part = CoveragePartition(
-            total, len(covered), len(novel),
-            covered=frozenset(covered), novel=frozenset(novel),
-            weights=weights, covered_weight=covered_weight)
-    else:
-        cov = _union_covered_count(target, others)
-        covered_weight = float(
-            sum(target.intersection_size(o) for o in others))
-        part = CoveragePartition(total, cov, total - cov,
-                                 covered_weight=covered_weight)
+    part = factored_partition(_detailed_signature(q),
+                              [_detailed_signature(qi) for qi in history])
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
@@ -295,8 +186,7 @@ def pdsn(q: CubeQuery, history: Sequence[CubeQuery],
 # --- detailed extensional metrics -----------------------------------------------
 
 def pden(q: CubeQuery, history: Sequence[CubeQuery],
-         weighted: bool = False,
-         materialize: bool | None = None) -> tuple[float, CoveragePartition]:
+         weighted: bool = False) -> tuple[float, CoveragePartition]:
     """Partial detailed extensional novelty: the share of q's detailed-area
     cells absent from the union of the history's detailed areas.
 
@@ -311,35 +201,19 @@ def pden(q: CubeQuery, history: Sequence[CubeQuery],
     aggregation step of `detailed_area`.
     """
     cube = q.cube
-    rows = cube.coords[selection_mask(q)]
-    keys = pack_keys(rows, [d.size(d.base_level) for d in cube.dims])
+    keys = pack_keys(cube.coords[selection_mask(q)],
+                     [d.size(d.base_level) for d in cube.dims])
     total = len(keys)
+    cov, covered_weight = 0, 0.0
     if history:
         all_keys = np.concatenate([detailed_area_keys(qi) for qi in history])
         union_keys, counts = np.unique(all_keys, return_counts=True)
         covered_mask = np.isin(keys, union_keys)
         idx = np.searchsorted(union_keys, keys[covered_mask])
+        cov = int(covered_mask.sum())
         covered_weight = float(counts[idx].sum())
-    else:
-        covered_mask = np.zeros(total, dtype=bool)
-        counts = np.zeros(0, dtype=np.int64)
-        covered_weight = 0.0
-    cov = int(covered_mask.sum())
-    do_sets = materialize if materialize is not None else total <= MATERIALIZE_CAP
-    if do_sets:
-        tuples = [tuple(int(x) for x in row) for row in rows]
-        covered = frozenset(t for t, m in zip(tuples, covered_mask) if m)
-        novel = frozenset(t for t, m in zip(tuples, covered_mask) if not m)
-        weights = None
-        if history:
-            weights = {
-                t: int(counts[np.searchsorted(union_keys, k)])
-                for t, k, m in zip(tuples, keys, covered_mask) if m}
-        part = CoveragePartition(total, cov, total - cov, covered, novel,
-                                 weights, covered_weight)
-    else:
-        part = CoveragePartition(total, cov, total - cov,
-                                 covered_weight=covered_weight)
+    part = CoveragePartition(total, cov, total - cov,
+                             covered_weight=covered_weight)
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
@@ -367,41 +241,29 @@ def belief_novelty(q: CubeQuery, beliefs: BeliefStore, pi: float,
     else:
         cells = evaluate(q)
     levels = cells.levels
-    universe = cells.coord_tuples()
-    total = len(universe)
-
-    if mode in ("same_level", "detailed"):
-        eligible = {a for a in star
-                    if all(al.lower() == ql.lower()
-                           for (al, _), ql in zip(a, levels))}
-        skipped = len(star) - len(eligible)
-        if not eligible:
-            return 1.0, _empty_partition(total, universe, skipped)
-        anchor_ids = {tuple(mid for _, mid in a) for a in eligible}
-        covered = {c for c in universe if c in anchor_ids}
-    else:
+    if mode == "arbitrary":
         depths = [cube.dims[j].level(lv).depth for j, lv in enumerate(levels)]
-        eligible = []
-        for a in star:
-            ok = True
-            for j, (al, _) in enumerate(a):
-                if cube.dims[j].level(al).depth > depths[j]:
-                    ok = False
-                    break
-            if ok:
-                eligible.append(a)
-        skipped = len(star) - len(eligible)
-        if not eligible:
-            return 1.0, _empty_partition(total, universe, skipped)
-        covered = {
-            c for c in universe
-            if full_coverage(cube.dims, Cell(levels, c), eligible)}
-
-    novel = [c for c in universe if c not in covered]
-    part = CoveragePartition(
-        total, len(covered), len(novel),
-        covered=frozenset(covered), novel=frozenset(novel),
-        skipped_statements=skipped)
+        eligible = [a for a in star
+                    if all(cube.dims[j].level(al).depth <= depths[j]
+                           for j, (al, _) in enumerate(a))]
+    else:
+        eligible = [a for a in star
+                    if all(al.lower() == ql.lower()
+                           for (al, _), ql in zip(a, levels))]
+    skipped = len(star) - len(eligible)
+    total = cells.size
+    if not eligible:
+        cov = 0
+    elif mode == "arbitrary":
+        cov = sum(full_coverage(cube.dims, Cell(levels, c), eligible)
+                  for c in cells.coord_tuples())
+    else:
+        anchor_keys = pack_keys(
+            np.array([[mid for _, mid in a] for a in eligible]),
+            cells.domain_sizes())
+        cov = int(np.isin(cells.packed_keys(), anchor_keys).sum())
+    part = CoveragePartition(total, cov, total - cov,
+                             skipped_statements=skipped)
     return part.novel_fraction, part
 
 
@@ -428,10 +290,4 @@ def full_coverage(dims: tuple[Dimension, ...], cell: Cell,
                     f"on {dims[j].name}")
             sets.append(dims[j].desc_ids(level, [mid], dims[j].base_level))
         others.append(FactoredSignature(tuple(dims), base_levels, tuple(sets)))
-    others = [o for o in others if target.intersection_size(o) > 0]
-    if not others:
-        return target.size == 0
-    if len(others) <= MAX_UNION_TERMS:
-        return _union_covered_count(target, others) == target.size
-    return all(any(o.contains(c) for o in others)
-               for c in target.enumerate())
+    return target.covered_size(others) == target.size

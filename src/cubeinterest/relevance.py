@@ -15,10 +15,9 @@ from .context import Goal
 from .engine import CubeQuery, condition_signature
 from .errors import LevelMismatch
 from .novelty import (
-    MATERIALIZE_CAP,
     CoveragePartition,
     _atoms_respect_groupers,
-    _union_covered_count,
+    factored_partition,
     fsdn,
     fslsn,
     pden,
@@ -27,36 +26,21 @@ from .novelty import (
 )
 
 
-def gbdsr(q: CubeQuery, goal: Goal,
-          materialize: bool | None = None) -> tuple[float, CoveragePartition]:
+def gbdsr(q: CubeQuery, goal: Goal) -> tuple[float, CoveragePartition]:
     """Goal-based detailed syntactic relevance: the fraction of the query's
     detailed signature inside the goal condition's detailed signature."""
-    return multi_goal_gbdsr(q, [goal], materialize=materialize)
+    return multi_goal_gbdsr(q, [goal])
 
 
-def multi_goal_gbdsr(q: CubeQuery, goals: Sequence[Goal],
-                     materialize: bool | None = None
+def multi_goal_gbdsr(q: CubeQuery, goals: Sequence[Goal]
                      ) -> tuple[float, CoveragePartition]:
     """Relevance against the union of several goals' detailed signatures
     (overlaps are not double-counted)."""
     if not goals:
         raise ValueError("at least one goal is required")
-    target = condition_signature(q.condition, q.cube, detailed=True)
-    goal_sigs = [condition_signature(g, q.cube, detailed=True) for g in goals]
-    total = target.size
-    do_sets = materialize if materialize is not None else total <= MATERIALIZE_CAP
-    if do_sets:
-        covered, novel = set(), set()
-        for coord in target.enumerate(max(total, 1)):
-            if any(g.contains(coord) for g in goal_sigs):
-                covered.add(coord)
-            else:
-                novel.add(coord)
-        part = CoveragePartition(total, len(covered), len(novel),
-                                 frozenset(covered), frozenset(novel))
-    else:
-        cov = _union_covered_count(target, goal_sigs)
-        part = CoveragePartition(total, cov, total - cov)
+    part = factored_partition(
+        condition_signature(q.condition, q.cube, detailed=True),
+        [condition_signature(g, q.cube, detailed=True) for g in goals])
     return part.covered_fraction, part
 
 
@@ -82,16 +66,14 @@ def same_level_relevance(q: CubeQuery, beacons: Sequence[CubeQuery],
     if not _atoms_respect_groupers(q):
         return 0.0
     eligible = [qi for qi in beacons if _atoms_respect_groupers(qi)]
-    part = same_level_partition(q, eligible, basis=basis)
     if not eligible:
         return 0.0
-    return part.covered_fraction
+    return same_level_partition(q, eligible, basis=basis).covered_fraction
 
 
 def detailed_relevance(q: CubeQuery, history: Sequence[CubeQuery],
                        mode: str = "partial",
-                       basis: str = "extensional",
-                       materialize: bool | None = None) -> float:
+                       basis: str = "extensional") -> float:
     """History-based relevance at the detailed level.
 
     `full` is the complement of full detailed novelty; `partial` is the
@@ -104,9 +86,9 @@ def detailed_relevance(q: CubeQuery, history: Sequence[CubeQuery],
     if mode != "partial":
         raise ValueError(f"unknown mode {mode!r}")
     if basis == "syntactic":
-        score, _part = pdsn(q, history, materialize=materialize)
+        score, _part = pdsn(q, history)
     elif basis == "extensional":
-        score, _part = pden(q, history, materialize=materialize)
+        score, _part = pden(q, history)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return 1.0 - score

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from cubeinterest.engine import (
     Cell,
     CubeQuery,
     DetailedCube,
+    FactoredSignature,
     SelectionCondition,
     cell_distance,
     condition_signature,
@@ -251,6 +253,52 @@ def test_factored_membership_matches_product(tiny):
         for month in range(4):
             assert sig.contains((city, month)) == ((city, month) in product)
     assert sig.size == len(product)
+
+
+@pytest.fixture(scope="module")
+def box_schema():
+    dims = tuple(dimension_from_rows(name, [name],
+                                     [(f"{name}{i}",) for i in range(n)])
+                 for name, n in (("A", 5), ("B", 4), ("C", 6)))
+    return dims, tuple(d.base_level.name for d in dims)
+
+
+def test_covered_size_matches_product(box_schema):
+    dims, levels = box_schema
+    sizes = [d.size(lv) for d, lv in zip(dims, levels)]
+    rng = np.random.default_rng(0)
+
+    def box(overlapping=None):
+        sets = []
+        for j, n in enumerate(sizes):
+            ids = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            if overlapping is not None:
+                ids = np.append(ids, rng.choice(overlapping.sets[j]))
+            sets.append(np.unique(ids).astype(np.int32))
+        return FactoredSignature(dims, levels, tuple(sets))
+
+    def product(sig):
+        return set(itertools.product(*(s.tolist() for s in sig.sets)))
+
+    def check(target, others):
+        union = set().union(*(product(o) for o in others))
+        assert target.covered_size(others) == len(product(target) & union)
+
+    for n in range(31):
+        target = box()
+        check(target, [box(target if n % 2 else None) for _ in range(n)])
+    for n in (13, 20, 30):  # many boxes, every one overlapping the target
+        target = box()
+        check(target, [box(target) for _ in range(n)])
+
+    target = box()
+    assert target.covered_size([]) == 0
+    full = FactoredSignature(dims, levels, tuple(
+        np.arange(n, dtype=np.int32) for n in sizes))
+    assert target.covered_size([box(), full, box()]) == target.size
+    hollow = FactoredSignature(dims, levels, (np.zeros(0, dtype=np.int32),)
+                               + target.sets[1:])
+    assert hollow.covered_size([full]) == 0
 
 
 def test_cell_distance_cases(tiny):

@@ -198,6 +198,22 @@ def test_run_benchmark_small():
     assert "scaling" in report and "pden" in report["scaling"]
 
 
+def test_union_of_thirteen_history_signatures():
+    # 13 one-month history queries whose detailed signatures all overlap a
+    # 1996 query: exact union counting covers the whole year
+    cube = generate_star_data(20_000, 7).cube()
+    ctx = SessionContext(cube)
+    for m in range(13):
+        ctx.history.append(qlang.parse_query(
+            "SELECT avg(Amt) BY Account.District, Date.Month "
+            f"WHERE Date.Month IN {{1996-{m % 12 + 1:02d}}}", cube))
+    q = qlang.parse_query("SELECT avg(Amt) BY Account.District, Date.Month "
+                          "WHERE Date.Year IN {1996}", cube)
+    report = interestingness_vector(q, ctx)
+    assert report.scores["novelty"]["pdsn"] == 0.0
+    assert report.scores["relevance"]["pdsr"] == 1.0
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 def test_cli_assess_reference(tmp_path, capsys):

@@ -21,17 +21,21 @@ from cubeinterest import qlang
 
 # --- small hand-built cube shared by several tests -----------------------------
 
+HAND_GEO = [
+    ("Athens", "Greece"), ("Thessaloniki", "Greece"),
+    ("Paris", "France"), ("Lyon", "France"),
+    ("Rome", "Italy"), ("Milan", "Italy"),
+]
+HAND_DATE = [
+    ("1996-01", "1996"), ("1996-02", "1996"),
+    ("1997-01", "1997"), ("1997-02", "1997"),
+]
+
+
 @pytest.fixture(scope="module")
 def hand():
-    geo = dimension_from_rows("Geo", ["City", "Country"], [
-        ("Athens", "Greece"), ("Thessaloniki", "Greece"),
-        ("Paris", "France"), ("Lyon", "France"),
-        ("Rome", "Italy"), ("Milan", "Italy"),
-    ])
-    date = dimension_from_rows("Date", ["Month", "Year"], [
-        ("1996-01", "1996"), ("1996-02", "1996"),
-        ("1997-01", "1997"), ("1997-02", "1997"),
-    ])
+    geo = dimension_from_rows("Geo", ["City", "Country"], HAND_GEO)
+    date = dimension_from_rows("Date", ["Month", "Year"], HAND_DATE)
     coords = [(c, m) for c in range(6) for m in range(4)][:20]
     vals = [(float(i),) for i in range(len(coords))]
     cube = DetailedCube((geo, date), ("Amt",),
@@ -143,7 +147,7 @@ def test_pdsn_empty_history(hand):
     score, part = pdsn(q, [])
     assert score == 1.0
     assert part.covered_count == 0
-    assert part.novel == frozenset(part.novel)
+    assert part.novel_count == part.universe_size == 24
 
 
 def test_pdsn_self(hand):
@@ -177,7 +181,9 @@ def test_pdsn_overlapping_histories(hand):
     assert score == pytest.approx(7 / 12)
 
 
-def test_pdsn_inclusion_exclusion_matches_enumeration(hand):
+def test_pdsn_counts_match_oracle(hand):
+    # the three history signatures overlap pairwise, so union counting and
+    # occurrence weighting both matter
     q = q_of(hand, "SELECT avg(Amt) BY Geo.Country")
     history = [
         q_of(hand, "SELECT avg(Amt) BY Geo.Country WHERE Geo.Country IN {Greece}"),
@@ -185,15 +191,30 @@ def test_pdsn_inclusion_exclusion_matches_enumeration(hand):
         q_of(hand, "SELECT avg(Amt) BY Geo.Country "
                    "WHERE Geo.City IN {Rome, Paris} AND Date.Month IN {1997-01}"),
     ]
-    enum_score, enum_part = pdsn(q, history, materialize=True)
-    ie_score, ie_part = pdsn(q, history, materialize=False)
-    assert ie_part.covered is None  # counts only
-    assert ie_part.covered_count == enum_part.covered_count
-    assert ie_score == pytest.approx(enum_score)
-    assert ie_part.covered_weight == enum_part.covered_weight
-    w_enum, _ = pdsn(q, history, weighted=True, materialize=True)
-    w_ie, _ = pdsn(q, history, weighted=True, materialize=False)
-    assert w_ie == pytest.approx(w_enum)
+    ocube = oracles.OCube([oracles.ODim("Geo", ["City", "Country"], HAND_GEO),
+                           oracles.ODim("Date", ["Month", "Year"], HAND_DATE)],
+                          ["Amt"])
+    aggs = (("avg", "Amt"),)
+    spec = oracles.QSpec((), ("Country", "ALL"), aggs)
+    specs = [
+        oracles.QSpec((("Geo", "Country", frozenset({"Greece"})),),
+                      ("Country", "ALL"), aggs),
+        oracles.QSpec((("Date", "Year", frozenset({"1996"})),),
+                      ("Country", "ALL"), aggs),
+        oracles.QSpec((("Geo", "City", frozenset({"Rome", "Paris"})),
+                       ("Date", "Month", frozenset({"1997-01"}))),
+                      ("Country", "ALL"), aggs),
+    ]
+    mine = oracles.detailed_signature(ocube, spec)
+    theirs = [oracles.detailed_signature(ocube, s) for s in specs]
+    score, part = pdsn(q, history)
+    assert part.universe_size == len(mine)
+    assert part.covered_count == len(mine & set().union(*theirs))
+    assert part.covered_weight == sum(len(mine & t) for t in theirs)
+    assert score == pytest.approx(oracles.pdsn(ocube, spec, specs))
+    weighted, _ = pdsn(q, history, weighted=True)
+    assert weighted == pytest.approx(
+        oracles.pdsn(ocube, spec, specs, weighted=True))
 
 
 def test_pdsn_matches_oracle_random():
@@ -455,7 +476,4 @@ def test_partitions_cover_universe_random():
         for fn in (pden, pdsn):
             _, part = fn(inst.q, inst.history)
             assert part.covered_count + part.novel_count == part.universe_size
-            if part.covered is not None:
-                assert not (part.covered & part.novel)
-                assert len(part.covered) == part.covered_count
-                assert len(part.novel) == part.novel_count
+            assert min(part.covered_count, part.novel_count) >= 0
