@@ -229,8 +229,13 @@ class CellSet:
     def packed_keys(self) -> np.ndarray:
         return pack_keys(self.coords, self.domain_sizes())
 
-    def coord_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in row) for row in self.coords]
+    def rollup_keys(self, depths: Sequence[int]) -> np.ndarray:
+        """Packed keys of each cell's ancestors at the given per-dimension
+        depths, each at or above the cells' own level."""
+        rolled = [d.ancestor_map(d.level(lv).depth, depth)[col] for d, lv, col, depth
+                  in zip(self.dims, self.levels, self.coords.T, depths)]
+        sizes = [d.size(d.levels[depth]) for d, depth in zip(self.dims, depths)]
+        return pack_keys(np.column_stack(rolled), sizes)
 
     def iter_cells(self) -> Iterator[Cell]:
         names = list(self.measures)
@@ -272,12 +277,6 @@ class FactoredSignature:
             if n == 0:
                 return 0
         return n
-
-    def intersect(self, other: "FactoredSignature") -> "FactoredSignature":
-        self._check_aligned(other)
-        sets = tuple(np.intersect1d(a, b, assume_unique=True)
-                     for a, b in zip(self.sets, other.sets))
-        return FactoredSignature(self.dims, self.levels, sets)
 
     def issubset(self, other: "FactoredSignature") -> bool:
         self._check_aligned(other)
@@ -328,14 +327,15 @@ class FactoredSignature:
 
         return count(0, tuple(range(len(others))))
 
-    def enumerate(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
-        if self.size > cap:
+    def enumerate(self) -> Iterator[tuple[int, ...]]:
+        if self.size > DEFAULT_ENUMERATION_CAP:
             raise SignatureTooLarge(
-                f"signature product of {self.size} coordinates exceeds cap {cap}")
+                f"signature product of {self.size} coordinates exceeds cap "
+                f"{DEFAULT_ENUMERATION_CAP}")
         return itertools.product(*[map(int, s) for s in self.sets])
 
-    def to_cellset(self, cap: int = DEFAULT_ENUMERATION_CAP) -> CellSet:
-        rows = np.array(list(self.enumerate(cap)), dtype=np.int32).reshape(
+    def to_cellset(self) -> CellSet:
+        rows = np.array(list(self.enumerate()), dtype=np.int32).reshape(
             -1, len(self.dims))
         return CellSet(self.dims, self.levels, rows)
 
@@ -361,15 +361,6 @@ def pack_keys(coords: np.ndarray, domain_sizes: list[int]) -> np.ndarray:
         keys *= max(int(s), 1)
         keys += coords[:, j]
     return keys
-
-
-def unpack_key(key: int, domain_sizes: list[int]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(domain_sizes):
-        s = max(int(s), 1)
-        out.append(int(key % s))
-        key //= s
-    return tuple(reversed(out))
 
 
 # --- fact loading -------------------------------------------------------------
@@ -479,9 +470,9 @@ def query_signature_factored(q: CubeQuery) -> FactoredSignature:
     return FactoredSignature(q.cube.dims, tuple(levels), tuple(sets))
 
 
-def query_signature(q: CubeQuery, cap: int = DEFAULT_ENUMERATION_CAP) -> CellSet:
+def query_signature(q: CubeQuery) -> CellSet:
     """Coordinates (no measures) the query result is guaranteed to live in."""
-    return query_signature_factored(q).to_cellset(cap)
+    return query_signature_factored(q).to_cellset()
 
 
 def selection_mask(q: CubeQuery) -> np.ndarray:

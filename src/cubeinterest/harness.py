@@ -53,7 +53,6 @@ class AssessConfig:
     belief_mode: str = "arbitrary"
     surprise_cfg: SurpriseConfig = DEFAULT_CONFIG
     metrics: tuple[str, ...] = METRIC_GROUPS
-    pair_cap: int = peculiarity.DEFAULT_PAIR_CAP
 
     def to_dict(self) -> dict:
         return {
@@ -211,11 +210,11 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             group["value_cr"] = timer.run(
                 "peculiarity.value_cr", peculiarity.value_peculiarity,
                 q, history, metric="closest_relative", agg=cfg.value_agg,
-                q_result=result, results=results, pair_cap=cfg.pair_cap)
+                q_result=result, results=results)
             group["value_hausdorff"] = timer.run(
                 "peculiarity.value_hausdorff", peculiarity.value_peculiarity,
                 q, history, metric="hausdorff", agg=cfg.value_agg,
-                q_result=result, results=results, pair_cap=cfg.pair_cap)
+                q_result=result, results=results)
             k = min(cfg.jaccard_k, len(history))
             group["jaccard"] = timer.run(
                 "peculiarity.jaccard", peculiarity.jaccard_peculiarity,

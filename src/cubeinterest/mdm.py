@@ -105,10 +105,6 @@ class Dimension:
         return self.levels[0]
 
     @property
-    def all_level(self) -> Level:
-        return self.levels[-1]
-
-    @property
     def all_member(self) -> Member:
         return Member(self.name, ALL_LEVEL, 0, ALL_MEMBER)
 

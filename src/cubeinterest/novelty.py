@@ -6,11 +6,13 @@ covered and how much is novel, and reports the novel fraction. Partitions
 carry exact counts only. Factored signatures are never enumerated: the
 covered count against a union of factored signatures comes from
 `FactoredSignature.covered_size`, and cell universes are compared as packed
-integer keys.
+integer keys. Belief coverage rolls each anchor up to the cells' levels and
+checks each cell only against the anchors inside it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,6 +21,7 @@ import numpy as np
 from .context import Anchor, BeliefStore, known_cells
 from .engine import (
     Cell,
+    CellSet,
     CubeQuery,
     FactoredSignature,
     condition_signature,
@@ -228,66 +231,65 @@ def belief_novelty(q: CubeQuery, beliefs: BeliefStore, pi: float,
     `same_level` compares result cells against belief anchors at exactly
     the query's grouper levels; `detailed` compares detailed-area cells
     against base-level anchors; `arbitrary` admits anchors at levels at or
-    below the query's and uses full coverage of each cell's detailed
-    signature. Statements anchored at ineligible levels are skipped and
-    counted in the partition's diagnostics.
+    below the query's. Coverage is `covered_cells` in every mode.
+    Statements anchored at ineligible levels are skipped and counted in the
+    partition's diagnostics.
     """
     if mode not in ("same_level", "detailed", "arbitrary"):
         raise ValueError(f"unknown belief novelty mode {mode!r}")
     cube = q.cube
     star = known_cells(beliefs, pi)
-    if mode == "detailed":
-        cells = detailed_area(q)
-    else:
-        cells = evaluate(q)
-    levels = cells.levels
-    if mode == "arbitrary":
-        depths = [cube.dims[j].level(lv).depth for j, lv in enumerate(levels)]
-        eligible = [a for a in star
-                    if all(cube.dims[j].level(al).depth <= depths[j]
-                           for j, (al, _) in enumerate(a))]
-    else:
-        eligible = [a for a in star
-                    if all(al.lower() == ql.lower()
-                           for (al, _), ql in zip(a, levels))]
-    skipped = len(star) - len(eligible)
-    total = cells.size
-    if not eligible:
-        cov = 0
-    elif mode == "arbitrary":
-        cov = sum(full_coverage(cube.dims, Cell(levels, c), eligible)
-                  for c in cells.coord_tuples())
-    else:
-        anchor_keys = pack_keys(
-            np.array([[mid for _, mid in a] for a in eligible]),
-            cells.domain_sizes())
-        cov = int(np.isin(cells.packed_keys(), anchor_keys).sum())
-    part = CoveragePartition(total, cov, total - cov,
-                             skipped_statements=skipped)
+    cells = detailed_area(q) if mode == "detailed" else evaluate(q)
+    depths = [d.level(lv).depth for d, lv in zip(cube.dims, cells.levels)]
+    admits = operator.le if mode == "arbitrary" else operator.eq
+    eligible = [a for a in star
+                if all(admits(d.level(al).depth, depth)
+                       for d, (al, _), depth in zip(cube.dims, a, depths))]
+    cov = int(covered_cells(cells, eligible).sum())
+    part = CoveragePartition(cells.size, cov, cells.size - cov,
+                             skipped_statements=len(star) - len(eligible))
     return part.novel_fraction, part
+
+
+def _detailed_box(dims: tuple[Dimension, ...],
+                  anchor: Iterable[tuple[str, int]]) -> FactoredSignature:
+    """Base-level detailed signature of one anchored cell."""
+    return FactoredSignature(
+        dims, tuple(d.base_level.name for d in dims),
+        tuple(d.desc_ids(lv, [mid], d.base_level)
+              for d, (lv, mid) in zip(dims, anchor)))
+
+
+def covered_cells(cells: CellSet, anchors: Sequence[Anchor]) -> np.ndarray:
+    """One bool per cell: True iff the cell's detailed signature is a subset
+    of the union of the anchors' detailed signatures. Anchors above the
+    cells' levels raise LevelMismatch; the others, rolled up, each lie inside
+    one cell, which is checked only against the anchors inside it."""
+    dims = cells.dims
+    depths = [d.level(lv).depth for d, lv in zip(dims, cells.levels)]
+    rolled = np.empty((len(anchors), len(dims)), dtype=np.int64)
+    for i, anchor in enumerate(anchors):
+        for j, (level, mid) in enumerate(anchor):
+            depth = dims[j].level(level).depth
+            if depth > depths[j]:
+                raise LevelMismatch(
+                    f"anchor level {level} is above cell level "
+                    f"{cells.levels[j]} on {dims[j].name}")
+            rolled[i, j] = dims[j].ancestor_map(depth, depths[j])[mid]
+    covered = np.zeros(cells.size, dtype=bool)
+    keys = cells.packed_keys()
+    anchor_keys = pack_keys(rolled, cells.domain_sizes())
+    for c in np.flatnonzero(np.isin(keys, anchor_keys)):
+        target = _detailed_box(dims, zip(cells.levels, cells.coords[c].tolist()))
+        inside = [_detailed_box(dims, anchors[i])
+                  for i in np.flatnonzero(anchor_keys == keys[c])]
+        covered[c] = target.covered_size(inside) == target.size
+    return covered
 
 
 def full_coverage(dims: tuple[Dimension, ...], cell: Cell,
                   cstar: Iterable[Anchor]) -> bool:
-    """True iff the cell's detailed signature is a subset of the union of
-    the detailed signatures of the given anchored cells.
-
-    Every anchor must sit at levels at or below the cell's own levels;
-    anchors above raise LevelMismatch.
-    """
-    base_levels = tuple(d.base_level.name for d in dims)
-    target = FactoredSignature(
-        tuple(dims), base_levels,
-        tuple(d.desc_ids(lv, [mid], d.base_level)
-              for d, lv, mid in zip(dims, cell.levels, cell.ids)))
-    others = []
-    for anchor in cstar:
-        sets = []
-        for j, (level, mid) in enumerate(anchor):
-            if dims[j].level(level).depth > dims[j].level(cell.levels[j]).depth:
-                raise LevelMismatch(
-                    f"anchor level {level} is above cell level {cell.levels[j]} "
-                    f"on {dims[j].name}")
-            sets.append(dims[j].desc_ids(level, [mid], dims[j].base_level))
-        others.append(FactoredSignature(tuple(dims), base_levels, tuple(sets)))
-    return target.covered_size(others) == target.size
+    """`covered_cells` for one cell: True iff its detailed signature lies in
+    the union of the anchors'; anchors above it raise LevelMismatch."""
+    cells = CellSet(dims, cell.levels, np.array([cell.ids]))
+    return bool(covered_cells(cells, list(cstar))[0])

@@ -4,10 +4,14 @@ Three families: syntactic distance over query definitions (filter, grouper
 levels, aggregates), value-based distances over result cells (directed
 closest-relative and Hausdorff, built on the hierarchy hop-count cell
 distance), and Jaccard distance over detailed areas with k-NN selection.
+The cell distance depends only on the per-dimension depths of the cells'
+least common ancestors (LCA), so cells are never paired up: both sets are
+rolled up to each LCA-depth profile and matched as packed keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,9 +27,9 @@ from .errors import (
     SchemaMismatch,
 )
 
-# Pairwise cell-distance computations refuse to run beyond this many pairs
-# rather than silently sampling.
-DEFAULT_PAIR_CAP = 1_000_000
+# The dense pair matrix of `pairwise_cell_distances` refuses to build beyond
+# this many pairs; the metrics themselves need no matrix and no cap.
+PAIR_CAP = 1_000_000
 
 AGG_KINDS = ("min", "max", "average", "median", "knn")
 
@@ -143,71 +147,76 @@ def syntactic_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
 
 # --- value-based distances ----------------------------------------------------
 
-def pairwise_cell_distances(a: CellSet, b: CellSet,
-                            pair_cap: int = DEFAULT_PAIR_CAP) -> np.ndarray:
-    """Dense |a| x |b| matrix of cell distances.
-
-    Distances are computed once per distinct member pair per dimension and
-    broadcast to the full matrix.
-    """
+def _profiles(a: CellSet, b: CellSet):
+    """Yield (distance, keys of a, keys of b) per LCA-depth profile. Two
+    cells whose keys match meet at or below the profile, so their distance
+    is at most its distance, with equality at their own LCA profile."""
     if a.dims != b.dims:
         raise SchemaMismatch("cell sets are over different dimensions")
     if a.size == 0 or b.size == 0:
         raise EmptyResult("cell distance needs non-empty cell sets")
-    if a.size * b.size > pair_cap:
+    own_a = [d.level(lv).depth for d, lv in zip(a.dims, a.levels)]
+    own_b = [d.level(lv).depth for d, lv in zip(b.dims, b.levels)]
+    ranges = [range(max(da, db), d.height + 1)
+              for d, da, db in zip(a.dims, own_a, own_b)]
+    for depths in itertools.product(*ranges):
+        total = 0.0
+        for d, da, db, dl in zip(a.dims, own_a, own_b, depths):
+            total += ((dl - da) + (dl - db)) / (2.0 * d.height)
+        yield total / len(a.dims), a.rollup_keys(depths), b.rollup_keys(depths)
+
+
+def nearest_cell_distances(a: CellSet, b: CellSet) -> np.ndarray:
+    """Distance from each cell of `a` to its nearest cell of `b`: the least
+    distance of a profile at which the cell's key appears among b's."""
+    best = np.full(a.size, np.inf)
+    for dist, keys_a, keys_b in _profiles(a, b):
+        np.minimum(best, np.where(np.isin(keys_a, keys_b), dist, np.inf),
+                   out=best)
+    return best
+
+
+def pairwise_cell_distances(a: CellSet, b: CellSet) -> np.ndarray:
+    """Dense |a| x |b| matrix of cell distances: per pair, the least
+    distance of a profile at which the two cells' keys match."""
+    if a.size * b.size > PAIR_CAP:
         raise PairLimitExceeded(
-            f"{a.size}x{b.size} cell pairs exceed the cap of {pair_cap}")
-    out = np.zeros((a.size, b.size))
-    for j, dim in enumerate(a.dims):
-        ua, inv_a = np.unique(a.coords[:, j], return_inverse=True)
-        ub, inv_b = np.unique(b.coords[:, j], return_inverse=True)
-        m = np.empty((len(ua), len(ub)))
-        for x, ida in enumerate(ua):
-            ma = dim.member_by_id(a.levels[j], int(ida))
-            for y, idb in enumerate(ub):
-                mb = dim.member_by_id(b.levels[j], int(idb))
-                m[x, y] = dim.value_distance(ma, mb)
-        out += m[inv_a][:, inv_b]
-    out /= len(a.dims)
+            f"{a.size}x{b.size} cell pairs exceed the cap of {PAIR_CAP}")
+    out = np.full((a.size, b.size), np.inf)
+    for dist, keys_a, keys_b in _profiles(a, b):
+        np.minimum(out, np.where(keys_a[:, None] == keys_b, dist, np.inf),
+                   out=out)
     return out
 
 
-def closest_relative_distance(a: CellSet, b: CellSet,
-                              pair_cap: int = DEFAULT_PAIR_CAP) -> float:
+def closest_relative_distance(a: CellSet, b: CellSet) -> float:
     """Directed closest-relative distance: each cell of `a` is paired with
     its nearest cell of `b` and the pair distances are averaged. Not
     symmetric in general."""
-    dist = pairwise_cell_distances(a, b, pair_cap)
-    return float(dist.min(axis=1).mean())
+    return float(nearest_cell_distances(a, b).mean())
 
 
-def closest_relative_symmetric(a: CellSet, b: CellSet,
-                               pair_cap: int = DEFAULT_PAIR_CAP) -> float:
+def closest_relative_symmetric(a: CellSet, b: CellSet) -> float:
     """Average of the two directed closest-relative distances."""
-    return 0.5 * (closest_relative_distance(a, b, pair_cap)
-                  + closest_relative_distance(b, a, pair_cap))
+    return 0.5 * (closest_relative_distance(a, b)
+                  + closest_relative_distance(b, a))
 
 
-def hausdorff_distance(a: CellSet, b: CellSet,
-                       pair_cap: int = DEFAULT_PAIR_CAP) -> float:
+def hausdorff_distance(a: CellSet, b: CellSet) -> float:
     """Symmetric Hausdorff distance: the larger of the two directed
     max-of-min-pair distances."""
-    dist = pairwise_cell_distances(a, b, pair_cap)
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
-def directed_hausdorff(a: CellSet, b: CellSet,
-                       pair_cap: int = DEFAULT_PAIR_CAP) -> float:
-    dist = pairwise_cell_distances(a, b, pair_cap)
-    return float(dist.min(axis=1).max())
+def directed_hausdorff(a: CellSet, b: CellSet) -> float:
+    return float(nearest_cell_distances(a, b).max())
 
 
 def value_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
                       metric: str = "hausdorff",
                       agg: AggregationSpec = AggregationSpec("average"),
                       q_result: CellSet | None = None,
-                      results: Sequence[CellSet] | None = None,
-                      pair_cap: int = DEFAULT_PAIR_CAP) -> float:
+                      results: Sequence[CellSet] | None = None) -> float:
     """Aggregate result-cell distance of q to a query collection.
 
     `metric` is "hausdorff" or "closest_relative" (directed from each
@@ -225,7 +234,7 @@ def value_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
         raise ValueError("results do not line up with the collection")
     fn = (hausdorff_distance if metric == "hausdorff"
           else closest_relative_distance)
-    return agg.apply([fn(r, mine, pair_cap) for r in results])
+    return agg.apply([fn(r, mine) for r in results])
 
 
 # --- Jaccard over detailed areas ---------------------------------------------

@@ -346,6 +346,24 @@ def query_distance(cube: OCube, qa: QSpec, qb: QSpec,
 
 # --- beliefs and surprise ---------------------------------------------------------
 
+def belief_novelty(cube: OCube, levels, cells, anchors) -> float:
+    """Novel share of the cells (label tuples at `levels`): a cell is covered
+    iff its detailed signature is a subset of the union of the anchors'
+    detailed signatures. `anchors` holds (levels, labels) pairs."""
+    def detail(anchor_levels, labels) -> set[tuple[str, ...]]:
+        return set(itertools.product(*[
+            dim.desc(lv, lab, dim.levels[0])
+            for dim, lv, lab in zip(cube.dims, anchor_levels, labels)]))
+
+    known: set[tuple[str, ...]] = set()
+    for anchor_levels, labels in anchors:
+        known |= detail(anchor_levels, labels)
+    covered = sum(1 for c in cells if detail(levels, c) <= known)
+    if not covered:
+        return 1.0
+    return (len(cells) - covered) / len(cells)
+
+
 def probability_surprise(statements, actual: float) -> float:
     """statements: iterable of (contains: bool-valued fn, probability)."""
     return math.fsum(p for contains, p in statements if not contains(actual))

@@ -214,6 +214,22 @@ def test_union_of_thirteen_history_signatures():
     assert report.scores["relevance"]["pdsr"] == 1.0
 
 
+def test_value_peculiarity_beyond_a_million_cell_pairs():
+    # District x Month over two years: 1848 cells on both sides, so 3.4M
+    # cell pairs; the same cells aggregated with sum are at distance 0
+    cube = generate_star_data(100_000, 7).cube()
+    ctx = SessionContext(cube)
+    text = ("SELECT {}(Amt) BY Account.District, Date.Month "
+            "WHERE Date.Year IN {{1996, 1997}}")
+    ctx.history.append(qlang.parse_query(text.format("sum"), cube))
+    q = qlang.parse_query(text.format("avg"), cube)
+    assert evaluate(q).size ** 2 > peculiarity.PAIR_CAP
+    report = interestingness_vector(q, ctx)
+    assert report.scores["peculiarity"]["value_cr"] == 0.0
+    assert report.scores["peculiarity"]["value_hausdorff"] == 0.0
+
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 def test_cli_assess_reference(tmp_path, capsys):

@@ -32,6 +32,41 @@ def _result_labels(cells):
     return [cells.labels_row(i) for i in range(cells.size)]
 
 
+def _anchor_labels(dims, anchor):
+    return (tuple(lv for lv, _ in anchor),
+            tuple(d.label_of(lv, mid) for d, (lv, mid) in zip(dims, anchor)))
+
+
+def _finer_anchors(rnd, dims, cell):
+    """Anchors below one result cell: all or some of its children one level
+    down on one dimension, or a few of its base-level descendants."""
+    finer = [j for j, (d, lv) in enumerate(zip(dims, cell.levels))
+             if d.level(lv).depth > 0]
+    if not finer:
+        return []
+    kind = rnd.choice(("children", "some_children", "base"))
+    if kind == "base":
+        out = []
+        for _ in range(rnd.randint(1, 3)):
+            out.append(tuple(
+                (d.base_level.name,
+                 rnd.choice(d.desc_ids(lv, [mid], d.base_level).tolist()))
+                for d, lv, mid in zip(dims, cell.levels, cell.ids)))
+        return out
+    j = rnd.choice(finer)
+    dim = dims[j]
+    below = dim.levels[dim.level(cell.levels[j]).depth - 1].name
+    children = dim.desc_ids(cell.levels[j], [cell.ids[j]], below).tolist()
+    if kind == "some_children":
+        children = rnd.sample(children, rnd.randint(1, len(children)))
+    anchor = list(zip(cell.levels, cell.ids))
+    out = []
+    for child in children:
+        anchor[j] = (below, child)
+        out.append(tuple(anchor))
+    return out
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_metrics_match_oracles(seed):
     inst = build_instance(seed, n_queries=3 + seed % 5)
@@ -133,22 +168,33 @@ def test_metrics_match_oracles(seed):
     result = evaluate(q)
     cells = list(result.iter_cells())
     if cells:
-        picked = rnd.sample(cells, min(len(cells), 3))
-        statements = []
-        for i, cell in enumerate(picked):
-            anchor = tuple(zip(cell.levels, cell.ids))
-            statements.append(BeliefStatement(
-                "Amt", "set", frozenset({float(i)}),
-                round(rnd.uniform(0.1, 1.0), 3), anchor))
+        anchors = [tuple(zip(cell.levels, cell.ids))
+                   for cell in rnd.sample(cells, min(len(cells), 3))]
+        for cell in rnd.sample(cells, min(len(cells), 3)):
+            anchors += _finer_anchors(rnd, cube.dims, cell)
+        statements = [
+            BeliefStatement("Amt", "set", frozenset({float(i)}),
+                            round(rnd.uniform(0.1, 1.0), 3), anchor)
+            for i, anchor in enumerate(anchors)]
         store = BeliefStore(statements)
         pi = round(rnd.uniform(0.0, 1.0), 3)
         known = {s.anchor for s in statements if s.probability >= pi}
-        for mode in ("same_level", "arbitrary"):
+        result_cells = list(oracles.evaluate(ocube, q_spec))
+        base = tuple(od.levels[0] for od in ocube.dims)
+        for mode, levels, universe in (
+                ("same_level", q_spec.groupers, result_cells),
+                ("arbitrary", q_spec.groupers, result_cells),
+                ("detailed", base, list(oracles.detailed_cells(ocube, q_spec)))):
+            eligible = [
+                a for a in known
+                if all(od.depth(lv) == od.depth(cl) or (
+                    mode == "arbitrary" and od.depth(lv) < od.depth(cl))
+                       for od, (lv, _), cl in zip(ocube.dims, a, levels))]
             got, part = novelty.belief_novelty(q, store, pi, mode)
-            covered = sum(
-                1 for cell in cells
-                if tuple(zip(cell.levels, cell.ids)) in known)
-            expect = 1.0 if covered == 0 else (len(cells) - covered) / len(cells)
+            assert part.skipped_statements == len(known) - len(eligible), mode
+            expect = oracles.belief_novelty(
+                ocube, levels, universe,
+                [_anchor_labels(cube.dims, a) for a in eligible])
             assert got == _approx(expect), mode
 
     # --- surprise -----------------------------------------------------------------------

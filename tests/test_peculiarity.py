@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from conftest import build_instance
-from cubeinterest.engine import DetailedCube, evaluate
+from cubeinterest.engine import CellSet, DetailedCube, cell_distance, evaluate
 from cubeinterest.errors import (
     EmptyCollection,
     EmptyResult,
@@ -14,6 +14,7 @@ from cubeinterest.errors import (
 from cubeinterest.mdm import dimension_from_rows
 from cubeinterest.peculiarity import (
     AggregationSpec,
+    PAIR_CAP,
     DistanceWeights,
     closest_relative_distance,
     closest_relative_symmetric,
@@ -21,6 +22,8 @@ from cubeinterest.peculiarity import (
     hausdorff_distance,
     jaccard_detailed_distance,
     jaccard_peculiarity,
+    nearest_cell_distances,
+    pairwise_cell_distances,
     query_distance,
     query_distance_components,
     syntactic_peculiarity,
@@ -173,6 +176,15 @@ def test_cell_set_distances_match_oracle(geo_cube, geo_oracle):
         oracles.closest_relative(ocube, a.levels, cells_a, b.levels, cells_b))
     assert hausdorff_distance(a, b) == pytest.approx(
         oracles.hausdorff(ocube, a.levels, cells_a, b.levels, cells_b))
+    matrix = pairwise_cell_distances(a, b)
+    for i, ca in enumerate(a.iter_cells()):
+        for j, cb in enumerate(b.iter_cells()):
+            # bit-identical to the member-pair path
+            assert matrix[i, j] == cell_distance(a.dims, ca, cb)
+            assert matrix[i, j] == pytest.approx(oracles.cell_distance(
+                ocube, a.levels, cells_a[i], b.levels, cells_b[j]))
+    assert np.array_equal(nearest_cell_distances(a, b), matrix.min(axis=1))
+    assert np.array_equal(nearest_cell_distances(b, a), matrix.min(axis=0))
 
 
 def test_hausdorff_containment_direction(geo_cube):
@@ -191,22 +203,17 @@ def test_hausdorff_containment_direction(geo_cube):
 
 
 def test_pair_cap_and_empty(geo_cube):
-    q = q_of(geo_cube, "SELECT avg(Amt) BY Geo.City, Date.Month")
-    cells = evaluate(q)
+    cells = evaluate(q_of(geo_cube, "SELECT avg(Amt) BY Geo.City, Date.Month"))
+    # the cap is checked before any allocation, so the coordinates need not
+    # be distinct
+    big_a = CellSet(cells.dims, cells.levels, np.zeros((1001, 2)))
+    big_b = CellSet(cells.dims, cells.levels, np.zeros((1000, 2)))
+    assert big_a.size * big_b.size > PAIR_CAP
     with pytest.raises(PairLimitExceeded):
-        hausdorff_distance(cells, cells, pair_cap=10)
-    empty = evaluate(q_of(
-        geo_cube, "SELECT avg(Amt) BY Geo.City WHERE "
-                  "Geo.City IN {Athens} AND Date.Month IN {1997-01}"))
-    empty_set = evaluate(q_of(
-        geo_cube, "SELECT avg(Amt) BY Geo.City WHERE Geo.City IN {Rome}"))
-    # build an actually empty result by filtering months Rome lacks
-    import cubeinterest.engine as engine
-
-    sliced = engine.CellSet(cells.dims, cells.levels,
-                            np.zeros((0, 2), dtype=np.int32), {})
+        pairwise_cell_distances(big_a, big_b)
+    empty = CellSet(cells.dims, cells.levels, np.zeros((0, 2)))
     with pytest.raises(EmptyResult):
-        hausdorff_distance(cells, sliced)
+        hausdorff_distance(cells, empty)
 
 
 def test_value_peculiarity_self(geo_cube):
