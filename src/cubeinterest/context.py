@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -20,7 +21,10 @@ from .engine import (
     CellSet,
     CubeQuery,
     DetailedCube,
+    FactoredSignature,
     SelectionCondition,
+    detailed_area_keys,
+    detailed_signature,
     evaluate,
 )
 from .errors import HistoryConsistencyError, UnknownLevel, UnknownMeasure
@@ -139,10 +143,34 @@ def known_cells(beliefs: BeliefStore, pi: float) -> set[Anchor]:
 
 @dataclass(frozen=True)
 class HistoryEntry:
+    """One logged query, with its result when the client supplied one.
+
+    What the metrics need of this query alone is computed on first use and
+    kept on the entry, so later assessments against the same history do
+    not scan the fact table for it again: its sorted detailed-area keys
+    (8 bytes per selected fact row), its result cells (the supplied result,
+    else the query evaluated once) and its detailed factored signature
+    (one sorted id array per dimension). Appending computes none of them,
+    and the cube is immutable, so none goes stale. Plain metric calls take
+    queries, not entries, and still scan.
+    """
+
     query: CubeQuery
-    result: CellSet | None
-    session_id: str
-    seq: int
+    result: CellSet | None = None
+    session_id: str = "s0"
+    seq: int = 0
+
+    @cached_property
+    def detailed_keys(self) -> np.ndarray:
+        return detailed_area_keys(self.query)
+
+    @cached_property
+    def result_cells(self) -> CellSet:
+        return self.result if self.result is not None else evaluate(self.query)
+
+    @cached_property
+    def detailed_signature(self) -> FactoredSignature:
+        return detailed_signature(self.query)
 
 
 class QueryHistory:
@@ -173,9 +201,6 @@ class QueryHistory:
             if e.session_id not in out:
                 out.append(e.session_id)
         return out
-
-    def result_of(self, entry: HistoryEntry) -> CellSet:
-        return entry.result if entry.result is not None else evaluate(entry.query)
 
 
 def _check_cached(query: CubeQuery, result: CellSet):

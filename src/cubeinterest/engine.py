@@ -13,7 +13,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -456,6 +456,11 @@ def condition_signature(condition: SelectionCondition,
     return FactoredSignature(cube.dims, tuple(levels), tuple(sets))
 
 
+def detailed_signature(q: CubeQuery) -> FactoredSignature:
+    """The base-level factored signature of the query's selection."""
+    return condition_signature(q.condition, q.cube, detailed=True)
+
+
 def query_signature_factored(q: CubeQuery) -> FactoredSignature:
     """The query signature as a factored product: the base-level signature
     of the filter with each dimension mapped up to the query's grouper."""
@@ -549,6 +554,26 @@ def detailed_area_keys(q: CubeQuery) -> np.ndarray:
     keys = pack_keys(cube.coords[sel], [d.size(d.base_level) for d in cube.dims])
     keys.sort()
     return keys
+
+
+def isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """One bool per key: True iff it occurs in `sorted_keys` (sorted,
+    unique), found by one binary-search probe per key."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
+def per_query(fn: Callable, queries: Sequence[CubeQuery],
+              given: Sequence | None = None) -> list:
+    """One value per query: the caller's precomputed `given`, which must
+    line up with `queries`, else `fn` applied to each query."""
+    if given is None:
+        return [fn(qi) for qi in queries]
+    if len(given) != len(queries):
+        raise ValueError("precomputed values do not line up with the queries")
+    return list(given)
 
 
 def cell_distance(dims: tuple[Dimension, ...], a: Cell, b: Cell) -> float:

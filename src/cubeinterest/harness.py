@@ -21,13 +21,12 @@ from typing import Callable
 import numpy as np
 
 from . import novelty, peculiarity, relevance, surprise
-from .context import SessionContext, filter_history_same_measures
+from .context import HistoryEntry, SessionContext
 from .engine import (
     AtomicFilter,
     CubeQuery,
     DetailedCube,
     SelectionCondition,
-    evaluate,
 )
 from .errors import (
     CubeInterestError,
@@ -132,19 +131,26 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     The headline defaults are: detailed extensional novelty; goal-based
     relevance when a goal exists, else detailed extensional relevance;
     average syntactic peculiarity; normalized average value surprise.
+
+    The query is evaluated and its detailed area scanned at most once, and
+    every metric shares them. A history query is scanned only until its
+    `HistoryEntry` has memoised its result, detailed keys and detailed
+    signature, which it does on first use.
     """
     from . import qlang
 
     timings: dict[str, float] = {}
     timer = _Timer(timings)
-    history = ctx.history.queries()
+    entries = ctx.history.entries
+    history = [e.query for e in entries]
+    # the query's own result, keys and signature, memoised like an entry's
+    mine = HistoryEntry(q)
     scores: dict[str, dict] = {}
-    needs_result = ("surprise" in cfg.metrics
-                    or ("peculiarity" in cfg.metrics and history))
-    result = evaluate(q) if needs_result else None
 
     if "novelty" in cfg.metrics:
-        same_measures = filter_history_same_measures(ctx.history, q)
+        target = sorted(q.aggregates)
+        same = [e for e in entries if sorted(e.query.aggregates) == target]
+        same_measures = [e.query for e in same]
         group: dict = {}
         group["fslsn"] = timer.run("novelty.fslsn", novelty.fslsn, q, history)
         group["pslsn"] = _score(timer.run(
@@ -152,18 +158,22 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             basis="syntactic"))
         group["pslen"] = _score(timer.run(
             "novelty.pslen", novelty.same_level_novelty, q, history,
-            basis="extensional"))
-        group["fsdn"] = timer.run("novelty.fsdn", novelty.fsdn, q, history)
+            basis="extensional", **_results(mine, entries)))
+        group["fsdn"] = timer.run("novelty.fsdn", novelty.fsdn, q, history,
+                                  **_signatures(mine, entries))
         group["pdsn"] = _score(timer.run(
-            "novelty.pdsn", novelty.pdsn, q, same_measures))
+            "novelty.pdsn", novelty.pdsn, q, same_measures,
+            **_signatures(mine, same)))
         group["pden"] = _score(timer.run(
-            "novelty.pden", novelty.pden, q, same_measures))
+            "novelty.pden", novelty.pden, q, same_measures,
+            **_keys(mine, same)))
         group["wdn"] = _score(timer.run(
-            "novelty.wdn", novelty.pden, q, same_measures, weighted=True))
+            "novelty.wdn", novelty.pden, q, same_measures, weighted=True,
+            **_keys(mine, same)))
         if len(ctx.beliefs):
             score, part = timer.run(
                 "novelty.belief", novelty.belief_novelty, q, ctx.beliefs,
-                cfg.pi, cfg.belief_mode)
+                cfg.pi, cfg.belief_mode, q_result=mine.result_cells)
             group["belief"] = {
                 "mode": cfg.belief_mode,
                 "pi": cfg.pi,
@@ -190,13 +200,13 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             mode="partial")
         group["fdsr"] = timer.run(
             "relevance.fdsr", relevance.detailed_relevance, q, history,
-            mode="full")
+            mode="full", **_signatures(mine, entries))
         group["pdsr"] = timer.run(
             "relevance.pdsr", relevance.detailed_relevance, q, history,
-            mode="partial", basis="syntactic")
+            mode="partial", basis="syntactic", **_signatures(mine, entries))
         group["pder"] = timer.run(
             "relevance.pder", relevance.detailed_relevance, q, history,
-            mode="partial", basis="extensional")
+            mode="partial", basis="extensional", **_keys(mine, entries))
         group["headline"] = group["gbdsr"] if ctx.goals else group["pder"]
         scores["relevance"] = group
 
@@ -206,19 +216,18 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             group["syntactic"] = timer.run(
                 "peculiarity.syntactic", peculiarity.syntactic_peculiarity,
                 q, history, cfg.syntactic_agg, cfg.weights)
-            results = [ctx.history.result_of(e) for e in ctx.history]
             group["value_cr"] = timer.run(
                 "peculiarity.value_cr", peculiarity.value_peculiarity,
                 q, history, metric="closest_relative", agg=cfg.value_agg,
-                q_result=result, results=results)
+                **_results(mine, entries))
             group["value_hausdorff"] = timer.run(
                 "peculiarity.value_hausdorff", peculiarity.value_peculiarity,
                 q, history, metric="hausdorff", agg=cfg.value_agg,
-                q_result=result, results=results)
+                **_results(mine, entries))
             k = min(cfg.jaccard_k, len(history))
             group["jaccard"] = timer.run(
                 "peculiarity.jaccard", peculiarity.jaccard_peculiarity,
-                q, history, k=k)
+                q, history, k=k, **_keys(mine, entries))
             group["agg"] = cfg.syntactic_agg.kind
             group["jaccard_k"] = k
         else:
@@ -229,6 +238,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         scores["peculiarity"] = group
 
     if "surprise" in cfg.metrics:
+        result = mine.result_cells
         group = {}
         has_values = len(ctx.expected_values) > 0
         group["value"] = timer.run(
@@ -295,6 +305,21 @@ def _score(result):
         return None
     score, _part = result
     return score
+
+
+def _keys(mine: HistoryEntry, entries: list[HistoryEntry]) -> dict:
+    return {"q_keys": mine.detailed_keys,
+            "keys": [e.detailed_keys for e in entries]}
+
+
+def _signatures(mine: HistoryEntry, entries: list[HistoryEntry]) -> dict:
+    return {"q_signature": mine.detailed_signature,
+            "signatures": [e.detailed_signature for e in entries]}
+
+
+def _results(mine: HistoryEntry, entries: list[HistoryEntry]) -> dict:
+    return {"q_result": mine.result_cells,
+            "results": [e.result_cells for e in entries]}
 
 
 # --- synthetic star schema -------------------------------------------------------

@@ -8,6 +8,14 @@ covered count against a union of factored signatures comes from
 `FactoredSignature.covered_size`, and cell universes are compared as packed
 integer keys. Belief coverage rolls each anchor up to the cells' levels and
 checks each cell only against the anchors inside it.
+
+The history metrics take queries, and a plain call scans or evaluates each
+of them. They also accept what they would compute per query, precomputed:
+detailed-area keys (`q_keys=`, `keys=`), detailed signatures
+(`q_signature=`, `signatures=`) and results (`q_result=`, `results=`).
+`harness.interestingness_vector` passes the query's own once and each
+history entry's memoised values (`context.HistoryEntry`), so one
+assessment scans the fact table for the query alone.
 """
 
 from __future__ import annotations
@@ -24,13 +32,14 @@ from .engine import (
     CellSet,
     CubeQuery,
     FactoredSignature,
-    condition_signature,
     detailed_area,
     detailed_area_keys,
+    detailed_signature,
     evaluate,
+    isin_sorted,
     pack_keys,
+    per_query,
     query_signature_factored,
-    selection_mask,
 )
 from .errors import LevelMismatch
 from .mdm import Dimension
@@ -104,15 +113,15 @@ def _atoms_respect_groupers(q: CubeQuery) -> bool:
 
 
 def comparable_same_level(q: CubeQuery,
-                          history: Sequence[CubeQuery]) -> list[CubeQuery]:
-    """History queries whose same-level comparison with q is meaningful:
-    same groupers, same aggregate multiset, and filters (on both sides)
-    that respect the grouper levels."""
+                          history: Sequence[CubeQuery]) -> list[int]:
+    """Positions of the history queries whose same-level comparison with q
+    is meaningful: same groupers, same aggregate multiset, and filters (on
+    both sides) that respect the grouper levels."""
     if not _atoms_respect_groupers(q):
         return []
     target = sorted(q.aggregates)
     out = []
-    for qi in history:
+    for i, qi in enumerate(history):
         if tuple(g.lower() for g in qi.groupers) != tuple(
                 g.lower() for g in q.groupers):
             continue
@@ -120,25 +129,28 @@ def comparable_same_level(q: CubeQuery,
             continue
         if not _atoms_respect_groupers(qi):
             continue
-        out.append(qi)
+        out.append(i)
     return out
 
 
 def same_level_partition(q: CubeQuery, others: Sequence[CubeQuery],
-                         basis: str = "syntactic") -> CoveragePartition:
+                         basis: str = "syntactic", *,
+                         q_result: CellSet | None = None,
+                         results: Sequence[CellSet] | None = None
+                         ) -> CoveragePartition:
     """Coverage of q's same-level universe by pre-screened queries: the
     query signature's coordinates for the syntactic basis, the result cells
-    for the extensional one."""
+    for the extensional one (from the results, when given)."""
     if basis not in ("syntactic", "extensional"):
         raise ValueError(f"unknown basis {basis!r}")
     if basis == "syntactic":
         return factored_partition(
             query_signature_factored(q),
             [query_signature_factored(qi) for qi in others])
-    keys = evaluate(q).packed_keys()
+    keys = (q_result if q_result is not None else evaluate(q)).packed_keys()
     hits = np.zeros(len(keys), dtype=np.int64)
-    for qi in others:
-        hits += np.isin(keys, evaluate(qi).packed_keys())
+    for r in per_query(evaluate, others, results):
+        hits += np.isin(keys, r.packed_keys())
     cov = int(np.count_nonzero(hits))
     return CoveragePartition(len(keys), cov, len(keys) - cov,
                              covered_weight=float(hits.sum()))
@@ -146,42 +158,52 @@ def same_level_partition(q: CubeQuery, others: Sequence[CubeQuery],
 
 def same_level_novelty(q: CubeQuery, history: Sequence[CubeQuery],
                        basis: str = "syntactic",
-                       weighted: bool = False) -> tuple[float, CoveragePartition]:
+                       weighted: bool = False, *,
+                       q_result: CellSet | None = None,
+                       results: Sequence[CellSet] | None = None
+                       ) -> tuple[float, CoveragePartition]:
     """Fraction of q's same-level coordinates (syntactic) or result cells
-    (extensional) not covered by comparable history queries.
+    (extensional) not covered by comparable history queries. The
+    extensional basis takes precomputed results, lined up with the
+    history, when given.
 
     Returns 1 with an all-novel partition when no history query is
     comparable.
     """
-    part = same_level_partition(q, comparable_same_level(q, history), basis)
+    keep = comparable_same_level(q, history)
+    if results is not None:
+        aligned = per_query(evaluate, history, results)
+        results = [aligned[i] for i in keep]
+    part = same_level_partition(q, [history[i] for i in keep], basis,
+                                q_result=q_result, results=results)
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
 
 # --- detailed syntactic metrics ----------------------------------------------
 
-def fsdn(q: CubeQuery, history: Sequence[CubeQuery]) -> int:
+def fsdn(q: CubeQuery, history: Sequence[CubeQuery], *,
+         q_signature: FactoredSignature | None = None,
+         signatures: Sequence[FactoredSignature] | None = None) -> int:
     """Full syntactic detailed novelty: 0 iff some history query's detailed
     signature is a superset of q's (checked per dimension on the factored
-    signatures)."""
-    mine = _detailed_signature(q)
-    for qi in history:
-        if mine.issubset(_detailed_signature(qi)):
-            return 0
-    return 1
-
-
-def _detailed_signature(q: CubeQuery) -> FactoredSignature:
-    return condition_signature(q.condition, q.cube, detailed=True)
+    signatures). Precomputed detailed signatures may be supplied."""
+    mine = q_signature if q_signature is not None else detailed_signature(q)
+    others = per_query(detailed_signature, history, signatures)
+    return 0 if any(mine.issubset(s) for s in others) else 1
 
 
 def pdsn(q: CubeQuery, history: Sequence[CubeQuery],
-         weighted: bool = False) -> tuple[float, CoveragePartition]:
+         weighted: bool = False, *,
+         q_signature: FactoredSignature | None = None,
+         signatures: Sequence[FactoredSignature] | None = None
+         ) -> tuple[float, CoveragePartition]:
     """Partial detailed syntactic novelty: the share of q's detailed
     signature not covered by the union of the history's detailed
-    signatures."""
-    part = factored_partition(_detailed_signature(q),
-                              [_detailed_signature(qi) for qi in history])
+    signatures. Precomputed detailed signatures may be supplied."""
+    mine = q_signature if q_signature is not None else detailed_signature(q)
+    part = factored_partition(
+        mine, per_query(detailed_signature, history, signatures))
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
@@ -189,7 +211,10 @@ def pdsn(q: CubeQuery, history: Sequence[CubeQuery],
 # --- detailed extensional metrics -----------------------------------------------
 
 def pden(q: CubeQuery, history: Sequence[CubeQuery],
-         weighted: bool = False) -> tuple[float, CoveragePartition]:
+         weighted: bool = False, *,
+         q_keys: np.ndarray | None = None,
+         keys: Sequence[np.ndarray] | None = None
+         ) -> tuple[float, CoveragePartition]:
     """Partial detailed extensional novelty: the share of q's detailed-area
     cells absent from the union of the history's detailed areas.
 
@@ -200,23 +225,21 @@ def pden(q: CubeQuery, history: Sequence[CubeQuery],
     history query containing the cell; novel cells weigh 1.
 
     Detailed areas reduce to selected fact rows (cube coordinates are
-    unique), so this works on packed row keys without running the
-    aggregation step of `detailed_area`.
+    unique), so this works on the sorted packed row keys of
+    `detailed_area_keys`. A plain call scans the fact table once for q and
+    once per history query; `q_keys` and `keys` (lined up with the
+    history) skip those scans. Each history query's keys are probed once
+    for q's keys, and the per-key hit counts give the covered count and
+    weight as exact integers.
     """
-    cube = q.cube
-    keys = pack_keys(cube.coords[selection_mask(q)],
-                     [d.size(d.base_level) for d in cube.dims])
-    total = len(keys)
-    cov, covered_weight = 0, 0.0
-    if history:
-        all_keys = np.concatenate([detailed_area_keys(qi) for qi in history])
-        union_keys, counts = np.unique(all_keys, return_counts=True)
-        covered_mask = np.isin(keys, union_keys)
-        idx = np.searchsorted(union_keys, keys[covered_mask])
-        cov = int(covered_mask.sum())
-        covered_weight = float(counts[idx].sum())
+    mine = q_keys if q_keys is not None else detailed_area_keys(q)
+    hits = np.zeros(len(mine), dtype=np.int64)
+    for other in per_query(detailed_area_keys, history, keys):
+        hits += isin_sorted(mine, other)
+    total = len(mine)
+    cov = int(np.count_nonzero(hits))
     part = CoveragePartition(total, cov, total - cov,
-                             covered_weight=covered_weight)
+                             covered_weight=float(hits.sum()))
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
@@ -224,7 +247,9 @@ def pden(q: CubeQuery, history: Sequence[CubeQuery],
 # --- belief-based novelty ---------------------------------------------------------
 
 def belief_novelty(q: CubeQuery, beliefs: BeliefStore, pi: float,
-                   mode: str = "arbitrary") -> tuple[float, CoveragePartition]:
+                   mode: str = "arbitrary", *,
+                   q_result: CellSet | None = None
+                   ) -> tuple[float, CoveragePartition]:
     """Share of the query's cells not pinned down by sufficiently confident
     beliefs.
 
@@ -233,13 +258,17 @@ def belief_novelty(q: CubeQuery, beliefs: BeliefStore, pi: float,
     against base-level anchors; `arbitrary` admits anchors at levels at or
     below the query's. Coverage is `covered_cells` in every mode.
     Statements anchored at ineligible levels are skipped and counted in the
-    partition's diagnostics.
+    partition's diagnostics. `q_result`, when given, stands in for
+    evaluating q.
     """
     if mode not in ("same_level", "detailed", "arbitrary"):
         raise ValueError(f"unknown belief novelty mode {mode!r}")
     cube = q.cube
     star = known_cells(beliefs, pi)
-    cells = detailed_area(q) if mode == "detailed" else evaluate(q)
+    if mode == "detailed":
+        cells = detailed_area(q)
+    else:
+        cells = q_result if q_result is not None else evaluate(q)
     depths = [d.level(lv).depth for d, lv in zip(cube.dims, cells.levels)]
     admits = operator.le if mode == "arbitrary" else operator.eq
     eligible = [a for a in star

@@ -18,7 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import CellSet, CubeQuery, detailed_area_keys, evaluate
+from .engine import (
+    CellSet,
+    CubeQuery,
+    detailed_area_keys,
+    evaluate,
+    isin_sorted,
+    per_query,
+)
 from .errors import (
     EmptyCollection,
     EmptyResult,
@@ -220,21 +227,18 @@ def value_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
     """Aggregate result-cell distance of q to a query collection.
 
     `metric` is "hausdorff" or "closest_relative" (directed from each
-    collection member towards q). Precomputed results may be supplied to
-    avoid re-evaluating.
+    collection member towards q). Precomputed results, lined up with the
+    collection, may be supplied to avoid re-evaluating.
     """
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
     if metric not in ("hausdorff", "closest_relative"):
         raise ValueError(f"unknown value-based metric {metric!r}")
     mine = q_result if q_result is not None else evaluate(q)
-    if results is None:
-        results = [evaluate(qi) for qi in collection]
-    elif len(results) != len(collection):
-        raise ValueError("results do not line up with the collection")
     fn = (hausdorff_distance if metric == "hausdorff"
           else closest_relative_distance)
-    return agg.apply([fn(r, mine) for r in results])
+    return agg.apply([fn(r, mine)
+                      for r in per_query(evaluate, collection, results)])
 
 
 # --- Jaccard over detailed areas ---------------------------------------------
@@ -243,9 +247,12 @@ def jaccard_detailed_distance(qa: CubeQuery, qb: CubeQuery) -> float:
     """1 minus the Jaccard similarity of the two detailed areas; 0 when
     both areas are empty (identical)."""
     _check_same_space(qa, qb)
-    ka = detailed_area_keys(qa)
-    kb = detailed_area_keys(qb)
-    inter = len(np.intersect1d(ka, kb, assume_unique=True))
+    return _jaccard_distance(detailed_area_keys(qa), detailed_area_keys(qb))
+
+
+def _jaccard_distance(ka: np.ndarray, kb: np.ndarray) -> float:
+    """Jaccard distance of two sorted unique key arrays."""
+    inter = int(np.count_nonzero(isin_sorted(ka, kb)))
     union = len(ka) + len(kb) - inter
     if union == 0:
         return 0.0
@@ -253,13 +260,20 @@ def jaccard_detailed_distance(qa: CubeQuery, qb: CubeQuery) -> float:
 
 
 def jaccard_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
-                        k: int = 1) -> float:
+                        k: int = 1, *, q_keys: np.ndarray | None = None,
+                        keys: Sequence[np.ndarray] | None = None) -> float:
     """k-th smallest Jaccard distance between q's detailed area and the
     detailed areas of the collection (distances sorted ascending; ties keep
-    collection order, which cannot change the returned value)."""
+    collection order, which cannot change the returned value). Precomputed
+    sorted detailed-area keys of q and of the collection may be supplied;
+    otherwise q and each collection query are scanned once."""
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
     if not 1 <= k <= len(collection):
         raise KOutOfRange(f"k={k} outside 1..{len(collection)}")
-    distances = sorted(jaccard_detailed_distance(q, qi) for qi in collection)
+    for qi in collection:
+        _check_same_space(q, qi)
+    mine = q_keys if q_keys is not None else detailed_area_keys(q)
+    distances = sorted(_jaccard_distance(mine, kb) for kb
+                       in per_query(detailed_area_keys, collection, keys))
     return distances[k - 1]

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .context import Goal
-from .engine import CubeQuery, condition_signature
+from .engine import CubeQuery, FactoredSignature, condition_signature
 from .errors import LevelMismatch
 from .novelty import (
     CoveragePartition,
@@ -73,22 +75,30 @@ def same_level_relevance(q: CubeQuery, beacons: Sequence[CubeQuery],
 
 def detailed_relevance(q: CubeQuery, history: Sequence[CubeQuery],
                        mode: str = "partial",
-                       basis: str = "extensional") -> float:
+                       basis: str = "extensional", *,
+                       q_keys: np.ndarray | None = None,
+                       keys: Sequence[np.ndarray] | None = None,
+                       q_signature: FactoredSignature | None = None,
+                       signatures: Sequence[FactoredSignature] | None = None
+                       ) -> float:
     """History-based relevance at the detailed level.
 
     `full` is the complement of full detailed novelty; `partial` is the
     covered fraction of the detailed signature (syntactic) or detailed area
     (extensional). Pass the history unfiltered: aggregate functions and
-    measures do not matter for relevance.
+    measures do not matter for relevance. Precomputed detailed signatures
+    (`full`, syntactic) and detailed-area keys (extensional) pass through
+    to `fsdn`, `pdsn` and `pden`.
     """
+    sigs = {"q_signature": q_signature, "signatures": signatures}
     if mode == "full":
-        return 1.0 - fsdn(q, history)
+        return 1.0 - fsdn(q, history, **sigs)
     if mode != "partial":
         raise ValueError(f"unknown mode {mode!r}")
     if basis == "syntactic":
-        score, _part = pdsn(q, history)
+        score, _part = pdsn(q, history, **sigs)
     elif basis == "extensional":
-        score, _part = pden(q, history)
+        score, _part = pden(q, history, q_keys=q_keys, keys=keys)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return 1.0 - score

@@ -19,7 +19,9 @@ from cubeinterest.engine import (
     detailed_area_keys,
     detailed_proxy,
     evaluate,
+    isin_sorted,
     load_facts,
+    per_query,
     query_signature,
     selection_mask,
 )
@@ -242,6 +244,21 @@ def test_detailed_area_containment_reference(pkdd_query, pkdd_history, pkdd_cube
     assert not (set(detailed_area_keys(q2)) & q_keys)
     q1_keys = set(detailed_area_keys(pkdd_history[0]))
     assert set(detailed_area_keys(q2)) <= q1_keys
+
+
+def test_sorted_probe_and_precomputed_inputs(pkdd_query, pkdd_history):
+    mine = detailed_area_keys(pkdd_query)
+    for qi in pkdd_history:
+        other = detailed_area_keys(qi)
+        assert isin_sorted(mine, other).tolist() == \
+            np.isin(mine, other).tolist()
+    assert not isin_sorted(mine, np.array([], dtype=np.int64)).any()
+    assert isin_sorted(np.array([9, 1, 5, 10]), np.array([2, 5, 9])).tolist() \
+        == [True, False, True, False]
+    keys = per_query(detailed_area_keys, pkdd_history)
+    assert per_query(detailed_area_keys, pkdd_history, keys) == keys
+    with pytest.raises(ValueError):
+        per_query(detailed_area_keys, pkdd_history, keys[1:])
 
 
 def test_factored_membership_matches_product(tiny):

@@ -1,11 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from conftest import PKDD
 from cubeinterest.cli import main
 from cubeinterest.context import SessionContext
-from cubeinterest.engine import evaluate
+from cubeinterest.engine import detailed_area_keys, evaluate
 from cubeinterest.harness import (
     AssessConfig,
     BenchConfig,
@@ -228,6 +229,102 @@ def test_value_peculiarity_beyond_a_million_cell_pairs():
     assert report.scores["peculiarity"]["value_cr"] == 0.0
     assert report.scores["peculiarity"]["value_hausdorff"] == 0.0
 
+
+def _count_scans(monkeypatch) -> list:
+    """Record the query of every `selection_mask` call, at every module
+    binding of the function."""
+    from cubeinterest import engine
+
+    orig = engine.selection_mask
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return orig(q)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "cubeinterest" or name.startswith("cubeinterest."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _plain_scores(q, ctx) -> dict:
+    """The harness's scores recomputed by plain metric calls."""
+    history = ctx.history.queries()
+    same = [h for h in history if sorted(h.aggregates) == sorted(q.aggregates)]
+    return {
+        ("novelty", "pden"): novelty.pden(q, same)[0],
+        ("novelty", "wdn"): novelty.pden(q, same, weighted=True)[0],
+        ("novelty", "pslen"): novelty.same_level_novelty(
+            q, history, "extensional")[0],
+        ("novelty", "fsdn"): novelty.fsdn(q, history),
+        ("novelty", "pdsn"): novelty.pdsn(q, same)[0],
+        ("relevance", "pder"): relevance.detailed_relevance(q, history),
+        ("relevance", "pdsr"): relevance.detailed_relevance(
+            q, history, basis="syntactic"),
+    }
+
+
+def test_second_assessment_scans_the_query_alone(monkeypatch):
+    cube = generate_star_data(20_000, 7).cube()
+    ctx = SessionContext(cube)
+    text = "SELECT {} BY {} WHERE {}"
+    for agg, by, where, cached in (
+            ("avg(Amt)", "Account.District, Date.Month",
+             "Date.Month IN {1996-01, 1996-02}", True),
+            ("sum(Amt)", "Account.Region", "Account.Region IN {R1, R2}", False),
+            ("avg(Amt)", "Account.District, Date.Year",
+             "Account.Region IN {R3} AND Date.Year IN {1996, 1997}", False),
+            ("count(Amt)", "Date.Month", "Status.Status IN {A}", True)):
+        qi = qlang.parse_query(text.format(agg, by, where), cube)
+        ctx.history.append(qi, evaluate(qi) if cached else None)
+    for belief in ("P(Amt IN [1000..50000] | District=D01, Month=1996-01) = 0.8",
+                   "P(Amt IN {5} | Account=A0002, Month=1996-03) = 0.9"):
+        ctx.beliefs.add(qlang.parse_belief(belief, cube))
+    q = qlang.parse_query(text.format(
+        "avg(Amt)", "Account.District, Date.Month", "Date.Year IN {1996}"), cube)
+    calls = _count_scans(monkeypatch)
+
+    def assess_twice(cfg) -> list:
+        reports = [interestingness_vector(q, ctx, cfg)]
+        calls.clear()
+        reports.append(interestingness_vector(q, ctx, cfg))
+        # the query's own result and detailed area, and no history query
+        assert len(calls) == 2 and all(c is q for c in calls)
+        return reports
+
+    reports = assess_twice(AssessConfig())
+    history = ctx.history.queries()
+    expected = _plain_scores(q, ctx)
+    expected["peculiarity", "jaccard"] = peculiarity.jaccard_peculiarity(
+        q, history, k=2)
+    expected["peculiarity", "value_cr"] = peculiarity.value_peculiarity(
+        q, history, metric="closest_relative")
+    belief, _ = novelty.belief_novelty(q, ctx.beliefs, 0.5, "arbitrary")
+    for report in reports:
+        for (group, key), value in expected.items():
+            assert report.scores[group][key] == value, (group, key)
+        assert report.scores["novelty"]["belief"]["score"] == belief
+
+    # an entry whose detailed area is empty; value peculiarity rejects its
+    # empty result, so this round leaves peculiarity out
+    empty = qlang.parse_query(text.format(
+        "avg(Amt)", "Account.District, Date.Month",
+        "Account.Account IN {A0001} AND Date.Day IN {1996-03-05}"), cube)
+    assert detailed_area_keys(empty).size == 0
+    ctx.history.append(empty)
+    reports = assess_twice(AssessConfig(metrics=("novelty", "relevance")))
+    expected = _plain_scores(q, ctx)
+    for report in reports:
+        for (group, key), value in expected.items():
+            assert report.scores[group][key] == value, (group, key)
+    history = ctx.history.queries()
+    assert peculiarity.jaccard_peculiarity(
+        q, history, k=2, q_keys=detailed_area_keys(q),
+        keys=[e.detailed_keys for e in ctx.history]) == \
+        peculiarity.jaccard_peculiarity(q, history, k=2)
 
 
 # --- CLI ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ oracle structures) plus a bundle of random queries, then checks every
 metric the package computes against exhaustive enumeration, to 1e-9.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -15,9 +16,11 @@ from cubeinterest.context import (
     BeliefStatement,
     BeliefStore,
     ExpectedValues,
+    SessionContext,
     ValueInterval,
 )
 from cubeinterest.engine import SelectionCondition, evaluate
+from cubeinterest.harness import AssessConfig, interestingness_vector
 from cubeinterest import novelty, peculiarity, relevance, surprise
 
 SEEDS = range(100)
@@ -240,3 +243,44 @@ def test_complementarity_exact(seed):
     rel_e = relevance.detailed_relevance(inst.q, inst.history,
                                          basis="extensional")
     assert nov_e + rel_e == 1.0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_harness_matches_oracles(seed):
+    """The harness's shared inputs (each history entry's memoised keys and
+    results, every other entry with a cached result) give the oracle's
+    scores, in a first assessment and in a second that reads the memo."""
+    inst = build_instance(seed, n_queries=3 + seed % 5)
+    q, q_spec = inst.q, inst.q_spec
+    history, specs = inst.history, inst.history_specs
+    if seed % 2:
+        # a history that shares q's measures: pden and pder complement
+        history = [dataclasses.replace(qi, aggregates=q.aggregates)
+                   for qi in history]
+        specs = [oracles.QSpec(s.atoms, s.groupers, q_spec.aggregates)
+                 for s in specs]
+    ctx = SessionContext(inst.cube)
+    for i, qi in enumerate(history):
+        ctx.history.append(qi, evaluate(qi) if i % 2 else None)
+    same = [s for s in specs
+            if sorted(s.aggregates) == sorted(q_spec.aggregates)]
+    metrics = ("novelty", "relevance")
+    # value peculiarity rejects an empty result, so jaccard is checked
+    # only when every result has cells
+    if all(evaluate(x).size for x in inst.queries):
+        metrics += ("peculiarity",)
+    k = 1 + seed % len(history)
+    cfg = AssessConfig(metrics=metrics, jaccard_k=k)
+    for _ in range(2):
+        scores = interestingness_vector(q, ctx, cfg).scores
+        pden, pder = scores["novelty"]["pden"], scores["relevance"]["pder"]
+        assert pden == _approx(oracles.pden(inst.ocube, q_spec, same))
+        assert scores["novelty"]["wdn"] == _approx(
+            oracles.pden(inst.ocube, q_spec, same, weighted=True))
+        assert pder == _approx(1.0 - oracles.pden(inst.ocube, q_spec, specs))
+        if seed % 2:
+            assert pden + pder == 1.0
+        if "peculiarity" in metrics:
+            jds = sorted(oracles.jaccard_distance(inst.ocube, q_spec, s)
+                         for s in specs)
+            assert scores["peculiarity"]["jaccard"] == _approx(jds[k - 1])
