@@ -27,7 +27,12 @@ from .engine import (
     detailed_signature,
     evaluate,
 )
-from .errors import HistoryConsistencyError, UnknownLevel, UnknownMeasure
+from .errors import (
+    EmptyFile,
+    HistoryConsistencyError,
+    UnknownLevel,
+    UnknownMeasure,
+)
 from .mdm import ALL_LEVEL, Dimension
 
 # An anchor pins a cell at explicit levels: one (level name, member id) pair
@@ -304,7 +309,10 @@ def _iter_expectation_rows(path: str | Path, cube: DetailedCube,
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyFile(f"{path}: empty expectation file") from None
         lower = [h.lower() for h in header]
         try:
             m_col = lower.index("measure")

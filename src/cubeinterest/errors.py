@@ -41,6 +41,11 @@ class UnknownLevel(CubeInterestError):
     pass
 
 
+class MalformedFactRow(CubeInterestError):
+    """A fact row is shorter than the header or holds a measure that is not
+    a number."""
+
+
 class DuplicateCoordinates(CubeInterestError):
     """The fact table holds two rows with the same coordinate tuple."""
 

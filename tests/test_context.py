@@ -12,7 +12,7 @@ from cubeinterest.context import (
     load_expected_values,
 )
 from cubeinterest.engine import CellSet, evaluate
-from cubeinterest.errors import HistoryConsistencyError
+from cubeinterest.errors import EmptyFile, HistoryConsistencyError
 from cubeinterest import qlang
 
 
@@ -153,6 +153,14 @@ def test_load_expected_labels(pkdd_cube):
         ("Month", date.member("Month", "1996-12").id),
     )
     assert labels.lookup(anchor) == {"Amt": "High"}
+
+
+@pytest.mark.parametrize("loader", [load_expected_values, load_expected_labels])
+def test_empty_expectation_file(tmp_path, pkdd_cube, loader):
+    path = tmp_path / "expected.csv"
+    path.write_text("")
+    with pytest.raises(EmptyFile, match="expected.csv"):
+        loader(path, pkdd_cube)
 
 
 def test_session_context_loaders(pkdd_cube):

@@ -1,0 +1,140 @@
+"""Fact loading: chunked round trip, malformed rows and label lookups."""
+
+import numpy as np
+import pytest
+
+from cubeinterest import engine
+from cubeinterest.cli import main
+from cubeinterest.engine import load_facts
+from cubeinterest.errors import DuplicateCoordinates, MalformedFactRow
+from cubeinterest.harness import generate_star, generate_star_data
+from cubeinterest.mdm import Dimension, load_dimension
+
+ROWS = 10_000
+SEED = 5
+
+
+@pytest.fixture(scope="module")
+def star(tmp_path_factory):
+    out = tmp_path_factory.mktemp("star")
+    generate_star(ROWS, SEED, out)
+    dims = [load_dimension(out / "schema" / f"{n}.csv")
+            for n in ("Account", "Status", "Date")]
+    return out, dims
+
+
+def _write(path, header, rows):
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_round_trip_across_chunks(star):
+    out, dims = star
+    assert ROWS > 2 * engine._CHUNK_ROWS
+    cube = load_facts(out / "facts.csv", dims)
+    ref = generate_star_data(ROWS, SEED).cube()
+    assert cube.measures == ("Amt",)
+    assert cube.coords.dtype == ref.coords.dtype
+    assert cube.values.dtype == ref.values.dtype
+    assert cube.coords.tobytes() == ref.coords.tobytes()
+    assert cube.values.tobytes() == ref.values.tobytes()
+
+
+def test_header_only_gives_empty_cube(star, tmp_path):
+    _, dims = star
+    cube = load_facts(_write(tmp_path / "f.csv", "Account,Status,Day,Amt", []),
+                      dims)
+    assert len(cube) == 0
+    assert cube.coords.shape == (0, 3)
+    assert cube.values.shape == (0, 1)
+
+
+def test_blank_lines_and_padding(star, tmp_path):
+    _, dims = star
+    account, status, date = dims
+    path = _write(tmp_path / "f.csv", " Account , Status,Day,Amt ", [
+        "",
+        " A0001 , A,1996-01-01, 12.5 ",
+        ",,,",
+        "A0002,A ,  1996-01-02,1_000",
+        "   ",
+    ])
+    cube = load_facts(path, dims)
+    assert cube.measures == ("Amt",)
+    assert cube.coords.tolist() == [
+        [account.member("Account", "A0001").id,
+         status.member("Status", "A").id,
+         date.member("Day", "1996-01-01").id],
+        [account.member("Account", "A0002").id,
+         status.member("Status", "A").id,
+         date.member("Day", "1996-01-02").id],
+    ]
+    assert cube.values.tolist() == [[12.5], [1000.0]]
+
+
+def test_duplicates_in_different_chunks(star, tmp_path):
+    out, dims = star
+    lines = (out / "facts.csv").read_text().splitlines()
+    assert len(lines) - 1 > engine._CHUNK_ROWS
+    path = _write(tmp_path / "f.csv", lines[0], [*lines[1:], lines[1]])
+    with pytest.raises(DuplicateCoordinates):
+        load_facts(path, dims)
+
+
+def test_one_member_lookup_per_distinct_label(star, monkeypatch):
+    out, dims = star
+    calls = []
+    member = Dimension.member
+
+    def counted(self, level, label):
+        calls.append(self.name)
+        return member(self, level, label)
+
+    monkeypatch.setattr(Dimension, "member", counted)
+    cube = load_facts(out / "facts.csv", dims)
+    distinct = {d.name: len(np.unique(cube.coords[:, j]))
+                for j, d in enumerate(cube.dims)}
+    assert {n: calls.count(n) for n in distinct} == distinct
+    assert len(calls) == sum(distinct.values()) < 3 * ROWS
+
+
+def _malformed_file(tmp_path):
+    return _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
+        "A0001,A,1996-01-01,10",
+        "",
+        "A0002,A,1996-01-02",
+    ])
+
+
+def test_short_row_is_malformed(star, tmp_path):
+    _, dims = star
+    with pytest.raises(MalformedFactRow, match=r"facts\.csv: row 4: 3 fields"):
+        load_facts(_malformed_file(tmp_path), dims)
+
+
+def test_non_numeric_measure_is_malformed(star, tmp_path):
+    _, dims = star
+    path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
+        "A0001,A,1996-01-01,10",
+        "A0002,A,1996-01-02,ten",
+    ])
+    with pytest.raises(MalformedFactRow,
+                       match=r"facts\.csv: row 3: measure Amt .*'ten'"):
+        load_facts(path, dims)
+
+
+def test_cli_reports_malformed_facts(star, tmp_path, capsys):
+    out, _ = star
+    session = tmp_path / "session.txt"
+    session.write_text("SELECT sum(Amt) BY Account.Region\n")
+    rc = main([
+        "assess",
+        "--schema", str(out / "schema"),
+        "--facts", str(_malformed_file(tmp_path)),
+        "--history", str(session),
+        "--query", "SELECT avg(Amt) BY Account.Region",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 4" in err
