@@ -156,8 +156,10 @@ class HistoryEntry:
     (8 bytes per selected fact row), its result cells (the supplied result,
     else the query evaluated once) and its detailed factored signature
     (one sorted id array per dimension). Appending computes none of them,
-    and the cube is immutable, so none goes stale. Plain metric calls take
-    queries, not entries, and still scan.
+    and the cube is immutable, so none goes stale. The detailed and
+    extensional metrics read these from the entries they are given; a bare
+    query gets a fresh entry (`as_entry`) that lives for one call, so a
+    plain call still scans.
     """
 
     query: CubeQuery
@@ -176,6 +178,15 @@ class HistoryEntry:
     @cached_property
     def detailed_signature(self) -> FactoredSignature:
         return detailed_signature(self.query)
+
+
+# What the detailed and extensional metrics take for q and history items.
+QueryOrEntry = CubeQuery | HistoryEntry
+
+
+def as_entry(item: QueryOrEntry) -> HistoryEntry:
+    """The entry itself, or a fresh entry wrapping a bare query."""
+    return item if isinstance(item, HistoryEntry) else HistoryEntry(item)
 
 
 class QueryHistory:
@@ -223,12 +234,13 @@ def _check_cached(query: CubeQuery, result: CellSet):
                 f"cached result disagrees on measure {name}")
 
 
-def filter_history_same_measures(history: QueryHistory | Iterable[CubeQuery],
-                                 q: CubeQuery) -> list[CubeQuery]:
-    """History entries whose aggregate(measure) multiset equals the query's."""
+def filter_history_same_measures(
+        history: QueryHistory | Iterable[QueryOrEntry], q: CubeQuery) -> list:
+    """History items whose aggregate(measure) multiset equals the query's,
+    of the type given (queries for a `QueryHistory`)."""
     target = sorted(q.aggregates)
-    qs = history.queries() if isinstance(history, QueryHistory) else list(history)
-    return [qi for qi in qs if sorted(qi.aggregates) == target]
+    items = history.queries() if isinstance(history, QueryHistory) else history
+    return [x for x in items if sorted(as_entry(x).query.aggregates) == target]
 
 
 class ExpectedValues:

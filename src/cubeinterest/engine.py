@@ -13,7 +13,7 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -626,17 +626,6 @@ def isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
         return np.zeros(len(keys), dtype=bool)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     return sorted_keys[pos] == keys
-
-
-def per_query(fn: Callable, queries: Sequence[CubeQuery],
-              given: Sequence | None = None) -> list:
-    """One value per query: the caller's precomputed `given`, which must
-    line up with `queries`, else `fn` applied to each query."""
-    if given is None:
-        return [fn(qi) for qi in queries]
-    if len(given) != len(queries):
-        raise ValueError("precomputed values do not line up with the queries")
-    return list(given)
 
 
 def cell_distance(dims: tuple[Dimension, ...], a: Cell, b: Cell) -> float:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import novelty, peculiarity, relevance, surprise
-from .context import HistoryEntry, SessionContext
+from .context import HistoryEntry, SessionContext, filter_history_same_measures
 from .engine import (
     AtomicFilter,
     CubeQuery,
@@ -126,16 +126,18 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     """Score the query along all four interestingness dimensions.
 
     Metrics whose inputs are missing (no beliefs, no expectations, empty
-    history for peculiarity) report None rather than failing; same-level
-    relevance reports None when the history is not level-homogeneous.
+    history for peculiarity, no non-empty result for value peculiarity)
+    report None rather than failing; same-level relevance reports None
+    when the history is not level-homogeneous.
     The headline defaults are: detailed extensional novelty; goal-based
     relevance when a goal exists, else detailed extensional relevance;
     average syntactic peculiarity; normalized average value surprise.
 
-    The query is evaluated and its detailed area scanned at most once, and
-    every metric shares them. A history query is scanned only until its
-    `HistoryEntry` has memoised its result, detailed keys and detailed
-    signature, which it does on first use.
+    The detailed and extensional metrics are given the query in an entry
+    of its own and the history's entries, and read results, detailed keys
+    and detailed signatures from them. So the query is evaluated and its
+    detailed area scanned at most once per assessment, and a history query
+    only until its entry has memoised them on first use.
     """
     from . import qlang
 
@@ -148,32 +150,26 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     scores: dict[str, dict] = {}
 
     if "novelty" in cfg.metrics:
-        target = sorted(q.aggregates)
-        same = [e for e in entries if sorted(e.query.aggregates) == target]
-        same_measures = [e.query for e in same]
+        same = filter_history_same_measures(entries, q)
         group: dict = {}
         group["fslsn"] = timer.run("novelty.fslsn", novelty.fslsn, q, history)
         group["pslsn"] = _score(timer.run(
-            "novelty.pslsn", novelty.same_level_novelty, q, history,
+            "novelty.pslsn", novelty.same_level_novelty, mine, entries,
             basis="syntactic"))
         group["pslen"] = _score(timer.run(
-            "novelty.pslen", novelty.same_level_novelty, q, history,
-            basis="extensional", **_results(mine, entries)))
-        group["fsdn"] = timer.run("novelty.fsdn", novelty.fsdn, q, history,
-                                  **_signatures(mine, entries))
+            "novelty.pslen", novelty.same_level_novelty, mine, entries,
+            basis="extensional"))
+        group["fsdn"] = timer.run("novelty.fsdn", novelty.fsdn, mine, entries)
         group["pdsn"] = _score(timer.run(
-            "novelty.pdsn", novelty.pdsn, q, same_measures,
-            **_signatures(mine, same)))
+            "novelty.pdsn", novelty.pdsn, mine, same))
         group["pden"] = _score(timer.run(
-            "novelty.pden", novelty.pden, q, same_measures,
-            **_keys(mine, same)))
+            "novelty.pden", novelty.pden, mine, same))
         group["wdn"] = _score(timer.run(
-            "novelty.wdn", novelty.pden, q, same_measures, weighted=True,
-            **_keys(mine, same)))
+            "novelty.wdn", novelty.pden, mine, same, weighted=True))
         if len(ctx.beliefs):
             score, part = timer.run(
-                "novelty.belief", novelty.belief_novelty, q, ctx.beliefs,
-                cfg.pi, cfg.belief_mode, q_result=mine.result_cells)
+                "novelty.belief", novelty.belief_novelty, mine, ctx.beliefs,
+                cfg.pi, cfg.belief_mode)
             group["belief"] = {
                 "mode": cfg.belief_mode,
                 "pi": cfg.pi,
@@ -199,14 +195,14 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             "relevance.psslr", relevance.same_level_relevance, q, history,
             mode="partial")
         group["fdsr"] = timer.run(
-            "relevance.fdsr", relevance.detailed_relevance, q, history,
-            mode="full", **_signatures(mine, entries))
+            "relevance.fdsr", relevance.detailed_relevance, mine, entries,
+            mode="full")
         group["pdsr"] = timer.run(
-            "relevance.pdsr", relevance.detailed_relevance, q, history,
-            mode="partial", basis="syntactic", **_signatures(mine, entries))
+            "relevance.pdsr", relevance.detailed_relevance, mine, entries,
+            mode="partial", basis="syntactic")
         group["pder"] = timer.run(
-            "relevance.pder", relevance.detailed_relevance, q, history,
-            mode="partial", basis="extensional", **_keys(mine, entries))
+            "relevance.pder", relevance.detailed_relevance, mine, entries,
+            mode="partial", basis="extensional")
         group["headline"] = group["gbdsr"] if ctx.goals else group["pder"]
         scores["relevance"] = group
 
@@ -218,16 +214,14 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
                 q, history, cfg.syntactic_agg, cfg.weights)
             group["value_cr"] = timer.run(
                 "peculiarity.value_cr", peculiarity.value_peculiarity,
-                q, history, metric="closest_relative", agg=cfg.value_agg,
-                **_results(mine, entries))
+                mine, entries, metric="closest_relative", agg=cfg.value_agg)
             group["value_hausdorff"] = timer.run(
                 "peculiarity.value_hausdorff", peculiarity.value_peculiarity,
-                q, history, metric="hausdorff", agg=cfg.value_agg,
-                **_results(mine, entries))
+                mine, entries, metric="hausdorff", agg=cfg.value_agg)
             k = min(cfg.jaccard_k, len(history))
             group["jaccard"] = timer.run(
                 "peculiarity.jaccard", peculiarity.jaccard_peculiarity,
-                q, history, k=k, **_keys(mine, entries))
+                mine, entries, k=k)
             group["agg"] = cfg.syntactic_agg.kind
             group["jaccard_k"] = k
         else:
@@ -305,21 +299,6 @@ def _score(result):
         return None
     score, _part = result
     return score
-
-
-def _keys(mine: HistoryEntry, entries: list[HistoryEntry]) -> dict:
-    return {"q_keys": mine.detailed_keys,
-            "keys": [e.detailed_keys for e in entries]}
-
-
-def _signatures(mine: HistoryEntry, entries: list[HistoryEntry]) -> dict:
-    return {"q_signature": mine.detailed_signature,
-            "signatures": [e.detailed_signature for e in entries]}
-
-
-def _results(mine: HistoryEntry, entries: list[HistoryEntry]) -> dict:
-    return {"q_result": mine.result_cells,
-            "results": [e.result_cells for e in entries]}
 
 
 # --- synthetic star schema -------------------------------------------------------

@@ -9,13 +9,13 @@ covered count against a union of factored signatures comes from
 integer keys. Belief coverage rolls each anchor up to the cells' levels and
 checks each cell only against the anchors inside it.
 
-The history metrics take queries, and a plain call scans or evaluates each
-of them. They also accept what they would compute per query, precomputed:
-detailed-area keys (`q_keys=`, `keys=`), detailed signatures
-(`q_signature=`, `signatures=`) and results (`q_result=`, `results=`).
-`harness.interestingness_vector` passes the query's own once and each
-history entry's memoised values (`context.HistoryEntry`), so one
-assessment scans the fact table for the query alone.
+The detailed and extensional metrics take the query and each history item
+as a `CubeQuery` or a `context.HistoryEntry`, and read the detailed-area
+keys, result cells and detailed signature from the entry. A bare query is
+wrapped in a fresh entry for the call, so a plain call scans or evaluates
+each query once. `harness.interestingness_vector` passes entries that
+memoise these values, so one assessment scans the fact table for the query
+alone.
 """
 
 from __future__ import annotations
@@ -26,19 +26,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .context import Anchor, BeliefStore, known_cells
+from .context import Anchor, BeliefStore, QueryOrEntry, as_entry, known_cells
 from .engine import (
     Cell,
     CellSet,
     CubeQuery,
     FactoredSignature,
     detailed_area,
-    detailed_area_keys,
-    detailed_signature,
-    evaluate,
     isin_sorted,
     pack_keys,
-    per_query,
     query_signature_factored,
 )
 from .errors import LevelMismatch
@@ -133,88 +129,70 @@ def comparable_same_level(q: CubeQuery,
     return out
 
 
-def same_level_partition(q: CubeQuery, others: Sequence[CubeQuery],
-                         basis: str = "syntactic", *,
-                         q_result: CellSet | None = None,
-                         results: Sequence[CellSet] | None = None
-                         ) -> CoveragePartition:
+def same_level_partition(q: QueryOrEntry, others: Sequence[QueryOrEntry],
+                         basis: str = "syntactic") -> CoveragePartition:
     """Coverage of q's same-level universe by pre-screened queries: the
     query signature's coordinates for the syntactic basis, the result cells
-    for the extensional one (from the results, when given)."""
+    for the extensional one."""
     if basis not in ("syntactic", "extensional"):
         raise ValueError(f"unknown basis {basis!r}")
+    mine, others = as_entry(q), [as_entry(o) for o in others]
     if basis == "syntactic":
         return factored_partition(
-            query_signature_factored(q),
-            [query_signature_factored(qi) for qi in others])
-    keys = (q_result if q_result is not None else evaluate(q)).packed_keys()
+            query_signature_factored(mine.query),
+            [query_signature_factored(o.query) for o in others])
+    keys = mine.result_cells.packed_keys()
     hits = np.zeros(len(keys), dtype=np.int64)
-    for r in per_query(evaluate, others, results):
-        hits += np.isin(keys, r.packed_keys())
+    for o in others:
+        hits += np.isin(keys, o.result_cells.packed_keys())
     cov = int(np.count_nonzero(hits))
     return CoveragePartition(len(keys), cov, len(keys) - cov,
                              covered_weight=float(hits.sum()))
 
 
-def same_level_novelty(q: CubeQuery, history: Sequence[CubeQuery],
-                       basis: str = "syntactic",
-                       weighted: bool = False, *,
-                       q_result: CellSet | None = None,
-                       results: Sequence[CellSet] | None = None
+def same_level_novelty(q: QueryOrEntry, history: Sequence[QueryOrEntry],
+                       basis: str = "syntactic", weighted: bool = False
                        ) -> tuple[float, CoveragePartition]:
     """Fraction of q's same-level coordinates (syntactic) or result cells
-    (extensional) not covered by comparable history queries. The
-    extensional basis takes precomputed results, lined up with the
-    history, when given.
+    (extensional) not covered by comparable history queries.
 
     Returns 1 with an all-novel partition when no history query is
     comparable.
     """
-    keep = comparable_same_level(q, history)
-    if results is not None:
-        aligned = per_query(evaluate, history, results)
-        results = [aligned[i] for i in keep]
-    part = same_level_partition(q, [history[i] for i in keep], basis,
-                                q_result=q_result, results=results)
+    mine, history = as_entry(q), [as_entry(h) for h in history]
+    keep = comparable_same_level(mine.query, [h.query for h in history])
+    part = same_level_partition(mine, [history[i] for i in keep], basis)
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
 
 # --- detailed syntactic metrics ----------------------------------------------
 
-def fsdn(q: CubeQuery, history: Sequence[CubeQuery], *,
-         q_signature: FactoredSignature | None = None,
-         signatures: Sequence[FactoredSignature] | None = None) -> int:
+def fsdn(q: QueryOrEntry, history: Sequence[QueryOrEntry]) -> int:
     """Full syntactic detailed novelty: 0 iff some history query's detailed
     signature is a superset of q's (checked per dimension on the factored
-    signatures). Precomputed detailed signatures may be supplied."""
-    mine = q_signature if q_signature is not None else detailed_signature(q)
-    others = per_query(detailed_signature, history, signatures)
+    signatures)."""
+    mine = as_entry(q).detailed_signature
+    others = [as_entry(h).detailed_signature for h in history]
     return 0 if any(mine.issubset(s) for s in others) else 1
 
 
-def pdsn(q: CubeQuery, history: Sequence[CubeQuery],
-         weighted: bool = False, *,
-         q_signature: FactoredSignature | None = None,
-         signatures: Sequence[FactoredSignature] | None = None
-         ) -> tuple[float, CoveragePartition]:
+def pdsn(q: QueryOrEntry, history: Sequence[QueryOrEntry],
+         weighted: bool = False) -> tuple[float, CoveragePartition]:
     """Partial detailed syntactic novelty: the share of q's detailed
     signature not covered by the union of the history's detailed
-    signatures. Precomputed detailed signatures may be supplied."""
-    mine = q_signature if q_signature is not None else detailed_signature(q)
+    signatures."""
     part = factored_partition(
-        mine, per_query(detailed_signature, history, signatures))
+        as_entry(q).detailed_signature,
+        [as_entry(h).detailed_signature for h in history])
     score = part.weighted_novel_fraction if weighted else part.novel_fraction
     return score, part
 
 
 # --- detailed extensional metrics -----------------------------------------------
 
-def pden(q: CubeQuery, history: Sequence[CubeQuery],
-         weighted: bool = False, *,
-         q_keys: np.ndarray | None = None,
-         keys: Sequence[np.ndarray] | None = None
-         ) -> tuple[float, CoveragePartition]:
+def pden(q: QueryOrEntry, history: Sequence[QueryOrEntry],
+         weighted: bool = False) -> tuple[float, CoveragePartition]:
     """Partial detailed extensional novelty: the share of q's detailed-area
     cells absent from the union of the history's detailed areas.
 
@@ -226,16 +204,15 @@ def pden(q: CubeQuery, history: Sequence[CubeQuery],
 
     Detailed areas reduce to selected fact rows (cube coordinates are
     unique), so this works on the sorted packed row keys of
-    `detailed_area_keys`. A plain call scans the fact table once for q and
-    once per history query; `q_keys` and `keys` (lined up with the
-    history) skip those scans. Each history query's keys are probed once
-    for q's keys, and the per-key hit counts give the covered count and
-    weight as exact integers.
+    `detailed_area_keys`, read from each entry's `detailed_keys`: a bare
+    query's are scanned once in the call, an entry's once in its life.
+    Each history query's keys are probed once for q's keys, and the per-key
+    hit counts give the covered count and weight as exact integers.
     """
-    mine = q_keys if q_keys is not None else detailed_area_keys(q)
+    mine = as_entry(q).detailed_keys
     hits = np.zeros(len(mine), dtype=np.int64)
-    for other in per_query(detailed_area_keys, history, keys):
-        hits += isin_sorted(mine, other)
+    for h in history:
+        hits += isin_sorted(mine, as_entry(h).detailed_keys)
     total = len(mine)
     cov = int(np.count_nonzero(hits))
     part = CoveragePartition(total, cov, total - cov,
@@ -246,10 +223,8 @@ def pden(q: CubeQuery, history: Sequence[CubeQuery],
 
 # --- belief-based novelty ---------------------------------------------------------
 
-def belief_novelty(q: CubeQuery, beliefs: BeliefStore, pi: float,
-                   mode: str = "arbitrary", *,
-                   q_result: CellSet | None = None
-                   ) -> tuple[float, CoveragePartition]:
+def belief_novelty(q: QueryOrEntry, beliefs: BeliefStore, pi: float,
+                   mode: str = "arbitrary") -> tuple[float, CoveragePartition]:
     """Share of the query's cells not pinned down by sufficiently confident
     beliefs.
 
@@ -258,17 +233,15 @@ def belief_novelty(q: CubeQuery, beliefs: BeliefStore, pi: float,
     against base-level anchors; `arbitrary` admits anchors at levels at or
     below the query's. Coverage is `covered_cells` in every mode.
     Statements anchored at ineligible levels are skipped and counted in the
-    partition's diagnostics. `q_result`, when given, stands in for
-    evaluating q.
+    partition's diagnostics. The result cells come from the entry, when
+    q is one.
     """
     if mode not in ("same_level", "detailed", "arbitrary"):
         raise ValueError(f"unknown belief novelty mode {mode!r}")
-    cube = q.cube
+    mine = as_entry(q)
+    cube = mine.query.cube
     star = known_cells(beliefs, pi)
-    if mode == "detailed":
-        cells = detailed_area(q)
-    else:
-        cells = q_result if q_result is not None else evaluate(q)
+    cells = detailed_area(mine.query) if mode == "detailed" else mine.result_cells
     depths = [d.level(lv).depth for d, lv in zip(cube.dims, cells.levels)]
     admits = operator.le if mode == "arbitrary" else operator.eq
     eligible = [a for a in star

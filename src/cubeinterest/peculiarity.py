@@ -18,14 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import (
-    CellSet,
-    CubeQuery,
-    detailed_area_keys,
-    evaluate,
-    isin_sorted,
-    per_query,
-)
+from .context import QueryOrEntry, as_entry
+from .engine import CellSet, CubeQuery, detailed_area_keys, isin_sorted
 from .errors import (
     EmptyCollection,
     EmptyResult,
@@ -219,26 +213,31 @@ def directed_hausdorff(a: CellSet, b: CellSet) -> float:
     return float(nearest_cell_distances(a, b).max())
 
 
-def value_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
+def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
                       metric: str = "hausdorff",
-                      agg: AggregationSpec = AggregationSpec("average"),
-                      q_result: CellSet | None = None,
-                      results: Sequence[CellSet] | None = None) -> float:
+                      agg: AggregationSpec = AggregationSpec("average")
+                      ) -> float | None:
     """Aggregate result-cell distance of q to a query collection.
 
     `metric` is "hausdorff" or "closest_relative" (directed from each
-    collection member towards q). Precomputed results, lined up with the
-    collection, may be supplied to avoid re-evaluating.
+    collection member towards q). Results are read from entries, and a
+    bare query is evaluated once. A cell distance needs cells on both
+    sides, so a member with an empty result leaves the collection, and the
+    aggregation runs over the members left. None when q's result is empty
+    or no member is left.
     """
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
     if metric not in ("hausdorff", "closest_relative"):
         raise ValueError(f"unknown value-based metric {metric!r}")
-    mine = q_result if q_result is not None else evaluate(q)
+    mine = as_entry(q).result_cells
+    results = [r for r in (as_entry(x).result_cells for x in collection)
+               if r.size]
+    if not mine.size or not results:
+        return None
     fn = (hausdorff_distance if metric == "hausdorff"
           else closest_relative_distance)
-    return agg.apply([fn(r, mine)
-                      for r in per_query(evaluate, collection, results)])
+    return agg.apply([fn(r, mine) for r in results])
 
 
 # --- Jaccard over detailed areas ---------------------------------------------
@@ -259,21 +258,20 @@ def _jaccard_distance(ka: np.ndarray, kb: np.ndarray) -> float:
     return 1.0 - inter / union
 
 
-def jaccard_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
-                        k: int = 1, *, q_keys: np.ndarray | None = None,
-                        keys: Sequence[np.ndarray] | None = None) -> float:
+def jaccard_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
+                        k: int = 1) -> float:
     """k-th smallest Jaccard distance between q's detailed area and the
     detailed areas of the collection (distances sorted ascending; ties keep
-    collection order, which cannot change the returned value). Precomputed
-    sorted detailed-area keys of q and of the collection may be supplied;
-    otherwise q and each collection query are scanned once."""
+    collection order, which cannot change the returned value). Sorted
+    detailed-area keys are read from entries; q and each bare query are
+    scanned once."""
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
     if not 1 <= k <= len(collection):
         raise KOutOfRange(f"k={k} outside 1..{len(collection)}")
-    for qi in collection:
-        _check_same_space(q, qi)
-    mine = q_keys if q_keys is not None else detailed_area_keys(q)
-    distances = sorted(_jaccard_distance(mine, kb) for kb
-                       in per_query(detailed_area_keys, collection, keys))
+    mine, others = as_entry(q), [as_entry(x) for x in collection]
+    for other in others:
+        _check_same_space(mine.query, other.query)
+    distances = sorted(_jaccard_distance(mine.detailed_keys, o.detailed_keys)
+                       for o in others)
     return distances[k - 1]

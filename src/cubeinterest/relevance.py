@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from .context import Goal
-from .engine import CubeQuery, FactoredSignature, condition_signature
+from .context import Goal, QueryOrEntry
+from .engine import CubeQuery, condition_signature
 from .errors import LevelMismatch
 from .novelty import (
     CoveragePartition,
@@ -73,32 +71,26 @@ def same_level_relevance(q: CubeQuery, beacons: Sequence[CubeQuery],
     return same_level_partition(q, eligible, basis=basis).covered_fraction
 
 
-def detailed_relevance(q: CubeQuery, history: Sequence[CubeQuery],
+def detailed_relevance(q: QueryOrEntry, history: Sequence[QueryOrEntry],
                        mode: str = "partial",
-                       basis: str = "extensional", *,
-                       q_keys: np.ndarray | None = None,
-                       keys: Sequence[np.ndarray] | None = None,
-                       q_signature: FactoredSignature | None = None,
-                       signatures: Sequence[FactoredSignature] | None = None
-                       ) -> float:
+                       basis: str = "extensional") -> float:
     """History-based relevance at the detailed level.
 
     `full` is the complement of full detailed novelty; `partial` is the
     covered fraction of the detailed signature (syntactic) or detailed area
     (extensional). Pass the history unfiltered: aggregate functions and
-    measures do not matter for relevance. Precomputed detailed signatures
-    (`full`, syntactic) and detailed-area keys (extensional) pass through
-    to `fsdn`, `pdsn` and `pden`.
+    measures do not matter for relevance. q and the history items may be
+    queries or history entries; they pass through to `fsdn`, `pdsn` and
+    `pden`, which read detailed signatures and keys from entries.
     """
-    sigs = {"q_signature": q_signature, "signatures": signatures}
     if mode == "full":
-        return 1.0 - fsdn(q, history, **sigs)
+        return 1.0 - fsdn(q, history)
     if mode != "partial":
         raise ValueError(f"unknown mode {mode!r}")
     if basis == "syntactic":
-        score, _part = pdsn(q, history, **sigs)
+        score, _part = pdsn(q, history)
     elif basis == "extensional":
-        score, _part = pden(q, history, q_keys=q_keys, keys=keys)
+        score, _part = pden(q, history)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return 1.0 - score

@@ -21,7 +21,6 @@ from cubeinterest.engine import (
     evaluate,
     isin_sorted,
     load_facts,
-    per_query,
     query_signature,
     selection_mask,
 )
@@ -246,7 +245,7 @@ def test_detailed_area_containment_reference(pkdd_query, pkdd_history, pkdd_cube
     assert set(detailed_area_keys(q2)) <= q1_keys
 
 
-def test_sorted_probe_and_precomputed_inputs(pkdd_query, pkdd_history):
+def test_sorted_probe(pkdd_query, pkdd_history):
     mine = detailed_area_keys(pkdd_query)
     for qi in pkdd_history:
         other = detailed_area_keys(qi)
@@ -255,10 +254,6 @@ def test_sorted_probe_and_precomputed_inputs(pkdd_query, pkdd_history):
     assert not isin_sorted(mine, np.array([], dtype=np.int64)).any()
     assert isin_sorted(np.array([9, 1, 5, 10]), np.array([2, 5, 9])).tolist() \
         == [True, False, True, False]
-    keys = per_query(detailed_area_keys, pkdd_history)
-    assert per_query(detailed_area_keys, pkdd_history, keys) == keys
-    with pytest.raises(ValueError):
-        per_query(detailed_area_keys, pkdd_history, keys[1:])
 
 
 def test_factored_membership_matches_product(tiny):

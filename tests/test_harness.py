@@ -5,8 +5,9 @@ import pytest
 
 from conftest import PKDD
 from cubeinterest.cli import main
-from cubeinterest.context import SessionContext
+from cubeinterest.context import HistoryEntry, SessionContext
 from cubeinterest.engine import detailed_area_keys, evaluate
+from cubeinterest.errors import EmptyResult
 from cubeinterest.harness import (
     AssessConfig,
     BenchConfig,
@@ -264,13 +265,29 @@ def _plain_scores(q, ctx) -> dict:
         ("relevance", "pder"): relevance.detailed_relevance(q, history),
         ("relevance", "pdsr"): relevance.detailed_relevance(
             q, history, basis="syntactic"),
+        ("peculiarity", "jaccard"): peculiarity.jaccard_peculiarity(
+            q, history, k=2),
+        ("peculiarity", "value_cr"): peculiarity.value_peculiarity(
+            q, history, metric="closest_relative"),
+        ("peculiarity", "value_hausdorff"): peculiarity.value_peculiarity(
+            q, history),
     }
 
 
-def test_second_assessment_scans_the_query_alone(monkeypatch):
-    cube = generate_star_data(20_000, 7).cube()
+QUERY = "SELECT {} BY {} WHERE {}"
+# selects no fact row, so both its detailed area and its result are empty
+EMPTY_WHERE = "Account.Account IN {A0001} AND Date.Day IN {1996-03-05}"
+
+
+@pytest.fixture(scope="module")
+def star_cube():
+    return generate_star_data(20_000, 7).cube()
+
+
+def _star_session(cube):
+    """Four history queries, two appended with their results, two beliefs,
+    and the query to assess."""
     ctx = SessionContext(cube)
-    text = "SELECT {} BY {} WHERE {}"
     for agg, by, where, cached in (
             ("avg(Amt)", "Account.District, Date.Month",
              "Date.Month IN {1996-01, 1996-02}", True),
@@ -278,53 +295,133 @@ def test_second_assessment_scans_the_query_alone(monkeypatch):
             ("avg(Amt)", "Account.District, Date.Year",
              "Account.Region IN {R3} AND Date.Year IN {1996, 1997}", False),
             ("count(Amt)", "Date.Month", "Status.Status IN {A}", True)):
-        qi = qlang.parse_query(text.format(agg, by, where), cube)
+        qi = qlang.parse_query(QUERY.format(agg, by, where), cube)
         ctx.history.append(qi, evaluate(qi) if cached else None)
     for belief in ("P(Amt IN [1000..50000] | District=D01, Month=1996-01) = 0.8",
                    "P(Amt IN {5} | Account=A0002, Month=1996-03) = 0.9"):
         ctx.beliefs.add(qlang.parse_belief(belief, cube))
-    q = qlang.parse_query(text.format(
+    q = qlang.parse_query(QUERY.format(
         "avg(Amt)", "Account.District, Date.Month", "Date.Year IN {1996}"), cube)
+    return ctx, q
+
+
+def _empty_query(cube):
+    q = qlang.parse_query(QUERY.format(
+        "avg(Amt)", "Account.District, Date.Month", EMPTY_WHERE), cube)
+    assert detailed_area_keys(q).size == 0 and evaluate(q).size == 0
+    return q
+
+
+def test_second_assessment_scans_the_query_alone(monkeypatch, star_cube):
+    ctx, q = _star_session(star_cube)
     calls = _count_scans(monkeypatch)
 
-    def assess_twice(cfg) -> list:
-        reports = [interestingness_vector(q, ctx, cfg)]
+    def assess_twice() -> list:
+        reports = [interestingness_vector(q, ctx)]
         calls.clear()
-        reports.append(interestingness_vector(q, ctx, cfg))
+        reports.append(interestingness_vector(q, ctx))
         # the query's own result and detailed area, and no history query
         assert len(calls) == 2 and all(c is q for c in calls)
         return reports
 
-    reports = assess_twice(AssessConfig())
-    history = ctx.history.queries()
-    expected = _plain_scores(q, ctx)
-    expected["peculiarity", "jaccard"] = peculiarity.jaccard_peculiarity(
-        q, history, k=2)
-    expected["peculiarity", "value_cr"] = peculiarity.value_peculiarity(
-        q, history, metric="closest_relative")
     belief, _ = novelty.belief_novelty(q, ctx.beliefs, 0.5, "arbitrary")
-    for report in reports:
-        for (group, key), value in expected.items():
-            assert report.scores[group][key] == value, (group, key)
-        assert report.scores["novelty"]["belief"]["score"] == belief
 
-    # an entry whose detailed area is empty; value peculiarity rejects its
-    # empty result, so this round leaves peculiarity out
-    empty = qlang.parse_query(text.format(
-        "avg(Amt)", "Account.District, Date.Month",
-        "Account.Account IN {A0001} AND Date.Day IN {1996-03-05}"), cube)
-    assert detailed_area_keys(empty).size == 0
-    ctx.history.append(empty)
-    reports = assess_twice(AssessConfig(metrics=("novelty", "relevance")))
-    expected = _plain_scores(q, ctx)
-    for report in reports:
-        for (group, key), value in expected.items():
-            assert report.scores[group][key] == value, (group, key)
+    def check(reports):
+        expected = _plain_scores(q, ctx)
+        for report in reports:
+            for (group, key), value in expected.items():
+                assert report.scores[group][key] == value, (group, key)
+            assert report.scores["novelty"]["belief"]["score"] == belief
+
+    check(assess_twice())
+
+    # an entry whose detailed area and result are empty
+    ctx.history.append(_empty_query(star_cube))
+    check(assess_twice())
     history = ctx.history.queries()
     assert peculiarity.jaccard_peculiarity(
-        q, history, k=2, q_keys=detailed_area_keys(q),
-        keys=[e.detailed_keys for e in ctx.history]) == \
+        HistoryEntry(q), ctx.history.entries, k=2) == \
         peculiarity.jaccard_peculiarity(q, history, k=2)
+
+
+def test_plain_calls_keep_no_memo(monkeypatch, star_cube):
+    """Bare queries get fresh entries per call: every plain call scans q and
+    each history query again."""
+    ctx, q = _star_session(star_cube)
+    history = ctx.history.queries()
+    calls = _count_scans(monkeypatch)
+    for metric in (novelty.pden, peculiarity.jaccard_peculiarity,
+                   peculiarity.value_peculiarity):
+        for _ in range(2):
+            calls.clear()
+            metric(q, history)
+            assert len(calls) == 1 + len(history), metric.__name__
+
+
+def test_entries_and_bare_queries_agree(star_cube):
+    ctx, q = _star_session(star_cube)
+    ctx.history.append(_empty_query(star_cube))
+    entries, history = ctx.history.entries, ctx.history.queries()
+    assert any(e.result is not None for e in entries)
+    keep = novelty.comparable_same_level(q, history)
+    assert keep
+    for basis in ("syntactic", "extensional"):
+        assert novelty.same_level_partition(
+            HistoryEntry(q), [entries[i] for i in keep], basis) == \
+            novelty.same_level_partition(q, [history[i] for i in keep], basis)
+    calls = [
+        (novelty.fsdn, {}),
+        (peculiarity.value_peculiarity, {"metric": "closest_relative"}),
+        (peculiarity.value_peculiarity, {"metric": "hausdorff"}),
+    ]
+    for weighted in (False, True):
+        calls += [(novelty.same_level_novelty,
+                   {"basis": basis, "weighted": weighted})
+                  for basis in ("syntactic", "extensional")]
+        calls += [(novelty.pdsn, {"weighted": weighted}),
+                  (novelty.pden, {"weighted": weighted})]
+    calls += [(relevance.detailed_relevance, {"mode": mode, "basis": basis})
+              for mode, basis in (("full", "extensional"),
+                                  ("partial", "syntactic"),
+                                  ("partial", "extensional"))]
+    calls += [(peculiarity.jaccard_peculiarity, {"k": k})
+              for k in range(1, len(history) + 1)]
+    for fn, kwargs in calls:
+        assert fn(HistoryEntry(q), entries, **kwargs) == \
+            fn(q, history, **kwargs), (fn.__name__, kwargs)
+    for mode in ("same_level", "detailed", "arbitrary"):
+        assert novelty.belief_novelty(HistoryEntry(q), ctx.beliefs, 0.5, mode) \
+            == novelty.belief_novelty(q, ctx.beliefs, 0.5, mode), mode
+
+
+def test_empty_results_leave_value_peculiarity(star_cube):
+    """An empty history result leaves the collection; an empty query result,
+    or a collection with no result left, gives None. The rest of the vector
+    is scored either way."""
+    ctx, q = _star_session(star_cube)
+    empty = _empty_query(star_cube)
+    nonempty = ctx.history.queries()
+    ctx.history.append(empty)
+    scores = interestingness_vector(q, ctx).scores["peculiarity"]
+    for key, metric in (("value_cr", "closest_relative"),
+                        ("value_hausdorff", "hausdorff")):
+        expected = peculiarity.value_peculiarity(q, nonempty, metric=metric)
+        assert expected is not None and scores[key] == expected
+    assert scores["jaccard"] is not None
+
+    report = interestingness_vector(empty, ctx)
+    assert report.scores["peculiarity"]["value_cr"] is None
+    assert report.scores["peculiarity"]["value_hausdorff"] is None
+    assert report.scores["peculiarity"]["syntactic"] is not None
+    assert report.scores["novelty"]["pden"] == 1.0
+
+    alone = SessionContext(star_cube)
+    alone.history.append(empty)
+    scores = interestingness_vector(q, alone).scores["peculiarity"]
+    assert scores["value_cr"] is None and scores["value_hausdorff"] is None
+    assert scores["jaccard"] == 1.0
+    with pytest.raises(EmptyResult):
+        peculiarity.hausdorff_distance(evaluate(empty), evaluate(q))
 
 
 # --- CLI ---------------------------------------------------------------------------

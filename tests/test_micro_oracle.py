@@ -264,13 +264,12 @@ def test_harness_matches_oracles(seed):
         ctx.history.append(qi, evaluate(qi) if i % 2 else None)
     same = [s for s in specs
             if sorted(s.aggregates) == sorted(q_spec.aggregates)]
-    metrics = ("novelty", "relevance")
-    # value peculiarity rejects an empty result, so jaccard is checked
-    # only when every result has cells
-    if all(evaluate(x).size for x in inst.queries):
-        metrics += ("peculiarity",)
     k = 1 + seed % len(history)
-    cfg = AssessConfig(metrics=metrics, jaccard_k=k)
+    cfg = AssessConfig(metrics=("novelty", "relevance", "peculiarity"),
+                       jaccard_k=k)
+    jds = sorted(oracles.jaccard_distance(inst.ocube, q_spec, s)
+                 for s in specs)
+    value = _oracle_value_peculiarity(inst.ocube, q, history)
     for _ in range(2):
         scores = interestingness_vector(q, ctx, cfg).scores
         pden, pder = scores["novelty"]["pden"], scores["relevance"]["pder"]
@@ -280,7 +279,26 @@ def test_harness_matches_oracles(seed):
         assert pder == _approx(1.0 - oracles.pden(inst.ocube, q_spec, specs))
         if seed % 2:
             assert pden + pder == 1.0
-        if "peculiarity" in metrics:
-            jds = sorted(oracles.jaccard_distance(inst.ocube, q_spec, s)
-                         for s in specs)
-            assert scores["peculiarity"]["jaccard"] == _approx(jds[k - 1])
+        assert scores["peculiarity"]["jaccard"] == _approx(jds[k - 1])
+        for key, expected in value.items():
+            if expected is None:
+                assert scores["peculiarity"][key] is None, key
+            else:
+                assert scores["peculiarity"][key] == _approx(expected), key
+
+
+def _oracle_value_peculiarity(ocube, q, history) -> dict:
+    """Average oracle pair distance from each history result to q's, over
+    the history results with cells; None when q's result is empty or no
+    history result has cells."""
+    mine = evaluate(q)
+    results = [r for r in map(evaluate, history) if r.size]
+    if not mine.size or not results:
+        return {"value_cr": None, "value_hausdorff": None}
+    out = {}
+    for key, fn in (("value_cr", oracles.closest_relative),
+                    ("value_hausdorff", oracles.hausdorff)):
+        dists = [fn(ocube, r.levels, _result_labels(r),
+                    mine.levels, _result_labels(mine)) for r in results]
+        out[key] = sum(dists) / len(dists)
+    return out

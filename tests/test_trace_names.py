@@ -18,7 +18,8 @@ ASSESS_SPANS = ("engine.selection_mask", "engine.detailed_area_keys",
                 "engine.condition_signature", "novelty.pden",
                 "relevance.detailed_relevance",
                 "peculiarity.jaccard_peculiarity",
-                "peculiarity.value_peculiarity", "mdm.desc_ids")
+                "peculiarity.value_peculiarity", "mdm.desc_ids",
+                "context.filter_history_same_measures")
 
 
 def _spans(monkeypatch):
