@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import qlang
-from .context import SessionContext
+from .context import SessionContext, load_expected_labels, load_expected_values
 from .engine import load_facts
 from .errors import CubeInterestError
 from .harness import (
@@ -85,17 +85,24 @@ def _load_context(args) -> tuple[SessionContext, object]:
     if args.labels:
         ctx.load_label_rules(args.labels)
     if args.expected:
-        from .context import load_expected_values
-
         ctx.expected_values = load_expected_values(args.expected, cube)
     if args.expected_labels:
-        from .context import load_expected_labels
-
         ctx.expected_labels = load_expected_labels(args.expected_labels, cube)
     return ctx, cube
 
 
 def _assess(args) -> int:
+    if not 0.0 <= args.pi <= 1.0:
+        raise CubeInterestError(f"--pi {args.pi} outside [0,1]")
+    weights = DistanceWeights()
+    if args.weights:
+        try:
+            parts = [float(x) for x in args.weights.split(",")]
+            if len(parts) != 3:
+                raise ValueError("needs three comma-separated values")
+            weights = DistanceWeights(*parts)
+        except ValueError as exc:
+            raise CubeInterestError(f"--weights: {exc}") from exc
     ctx, cube = _load_context(args)
     q = qlang.parse_query(args.query, cube)
     metrics = tuple(m.strip() for m in args.metrics.split(",")) \
@@ -103,12 +110,6 @@ def _assess(args) -> int:
     for m in metrics:
         if m not in METRIC_GROUPS:
             raise CubeInterestError(f"unknown metric group {m!r}")
-    weights = DistanceWeights()
-    if args.weights:
-        parts = [float(x) for x in args.weights.split(",")]
-        if len(parts) != 3:
-            raise CubeInterestError("--weights needs three comma-separated values")
-        weights = DistanceWeights(*parts)
     cfg = AssessConfig(pi=args.pi, jaccard_k=args.k, weights=weights,
                        metrics=metrics)
     report = interestingness_vector(q, ctx, cfg)

@@ -221,6 +221,8 @@ class QueryHistory:
 
 def _check_cached(query: CubeQuery, result: CellSet):
     fresh = evaluate(query)
+    if result.dims != fresh.dims or result.levels != fresh.levels:
+        raise HistoryConsistencyError("cached result is at different levels")
     if sorted(result.packed_keys()) != sorted(fresh.packed_keys()):
         raise HistoryConsistencyError("cached result has different coordinates")
     if set(result.measures) != set(fresh.measures):

@@ -137,7 +137,9 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     of its own and the history's entries, and read results, detailed keys
     and detailed signatures from them. So the query is evaluated and its
     detailed area scanned at most once per assessment, and a history query
-    only until its entry has memoised them on first use.
+    only until its entry has memoised them on first use. `pden` and `wdn`
+    are read from one `novelty.pden` partition, and `value_cr` and
+    `value_hausdorff` from one `peculiarity.value_peculiarity` call.
     """
     from . import qlang
 
@@ -162,10 +164,8 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         group["fsdn"] = timer.run("novelty.fsdn", novelty.fsdn, mine, entries)
         group["pdsn"] = _score(timer.run(
             "novelty.pdsn", novelty.pdsn, mine, same))
-        group["pden"] = _score(timer.run(
-            "novelty.pden", novelty.pden, mine, same))
-        group["wdn"] = _score(timer.run(
-            "novelty.wdn", novelty.pden, mine, same, weighted=True))
+        score, part = timer.run("novelty.pden", novelty.pden, mine, same)
+        group["pden"], group["wdn"] = score, part.weighted_novel_fraction
         if len(ctx.beliefs):
             score, part = timer.run(
                 "novelty.belief", novelty.belief_novelty, mine, ctx.beliefs,
@@ -212,12 +212,10 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             group["syntactic"] = timer.run(
                 "peculiarity.syntactic", peculiarity.syntactic_peculiarity,
                 q, history, cfg.syntactic_agg, cfg.weights)
-            group["value_cr"] = timer.run(
+            # timed and failed under value_cr, the key the benchmark counts
+            group["value_cr"], group["value_hausdorff"] = timer.run(
                 "peculiarity.value_cr", peculiarity.value_peculiarity,
-                mine, entries, metric="closest_relative", agg=cfg.value_agg)
-            group["value_hausdorff"] = timer.run(
-                "peculiarity.value_hausdorff", peculiarity.value_peculiarity,
-                mine, entries, metric="hausdorff", agg=cfg.value_agg)
+                mine, entries, cfg.value_agg) or (None, None)
             k = min(cfg.jaccard_k, len(history))
             group["jaccard"] = timer.run(
                 "peculiarity.jaccard", peculiarity.jaccard_peculiarity,
@@ -295,10 +293,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
 
 
 def _score(result):
-    if result is None:
-        return None
-    score, _part = result
-    return score
+    return None if result is None else result[0]
 
 
 # --- synthetic star schema -------------------------------------------------------

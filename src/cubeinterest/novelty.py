@@ -2,12 +2,14 @@
 
 Every partial metric counts how much of the assessed universe (query
 signature, detailed signature, result cells, or detailed-area cells) is
-covered and how much is novel, and reports the novel fraction. Partitions
-carry exact counts only. Factored signatures are never enumerated: the
-covered count against a union of factored signatures comes from
-`FactoredSignature.covered_size`, and cell universes are compared as packed
-integer keys. Belief coverage rolls each anchor up to the cells' levels and
-checks each cell only against the anchors inside it.
+covered and how much is novel, and returns the novel fraction with the
+partition, which also gives the occurrence-weighted variant
+(`weighted_novel_fraction`). Partitions carry exact counts only. Factored
+signatures are never enumerated: the covered count against a union of
+factored signatures comes from `FactoredSignature.covered_size`, and cell
+universes are compared as packed integer keys. Belief coverage rolls each
+anchor up to the cells' levels and checks each cell only against the
+anchors inside it.
 
 The detailed and extensional metrics take the query and each history item
 as a `CubeQuery` or a `context.HistoryEntry`, and read the detailed-area
@@ -151,7 +153,7 @@ def same_level_partition(q: QueryOrEntry, others: Sequence[QueryOrEntry],
 
 
 def same_level_novelty(q: QueryOrEntry, history: Sequence[QueryOrEntry],
-                       basis: str = "syntactic", weighted: bool = False
+                       basis: str = "syntactic"
                        ) -> tuple[float, CoveragePartition]:
     """Fraction of q's same-level coordinates (syntactic) or result cells
     (extensional) not covered by comparable history queries.
@@ -162,8 +164,7 @@ def same_level_novelty(q: QueryOrEntry, history: Sequence[QueryOrEntry],
     mine, history = as_entry(q), [as_entry(h) for h in history]
     keep = comparable_same_level(mine.query, [h.query for h in history])
     part = same_level_partition(mine, [history[i] for i in keep], basis)
-    score = part.weighted_novel_fraction if weighted else part.novel_fraction
-    return score, part
+    return part.novel_fraction, part
 
 
 # --- detailed syntactic metrics ----------------------------------------------
@@ -177,30 +178,30 @@ def fsdn(q: QueryOrEntry, history: Sequence[QueryOrEntry]) -> int:
     return 0 if any(mine.issubset(s) for s in others) else 1
 
 
-def pdsn(q: QueryOrEntry, history: Sequence[QueryOrEntry],
-         weighted: bool = False) -> tuple[float, CoveragePartition]:
+def pdsn(q: QueryOrEntry, history: Sequence[QueryOrEntry]
+         ) -> tuple[float, CoveragePartition]:
     """Partial detailed syntactic novelty: the share of q's detailed
     signature not covered by the union of the history's detailed
     signatures."""
     part = factored_partition(
         as_entry(q).detailed_signature,
         [as_entry(h).detailed_signature for h in history])
-    score = part.weighted_novel_fraction if weighted else part.novel_fraction
-    return score, part
+    return part.novel_fraction, part
 
 
 # --- detailed extensional metrics -----------------------------------------------
 
-def pden(q: QueryOrEntry, history: Sequence[QueryOrEntry],
-         weighted: bool = False) -> tuple[float, CoveragePartition]:
+def pden(q: QueryOrEntry, history: Sequence[QueryOrEntry]
+         ) -> tuple[float, CoveragePartition]:
     """Partial detailed extensional novelty: the share of q's detailed-area
     cells absent from the union of the history's detailed areas.
 
     Callers comparing like with like should pre-filter the history to the
     query's aggregate/measure multiset (see
     `context.filter_history_same_measures`); relevance passes the history
-    unfiltered on purpose. The weighted variant counts one occurrence per
-    history query containing the cell; novel cells weigh 1.
+    unfiltered on purpose. The partition's `weighted_novel_fraction` is the
+    weighted variant (wdn): a covered cell weighs one per history query
+    containing it, a novel cell weighs 1.
 
     Detailed areas reduce to selected fact rows (cube coordinates are
     unique), so this works on the sorted packed row keys of
@@ -217,8 +218,7 @@ def pden(q: QueryOrEntry, history: Sequence[QueryOrEntry],
     cov = int(np.count_nonzero(hits))
     part = CoveragePartition(total, cov, total - cov,
                              covered_weight=float(hits.sum()))
-    score = part.weighted_novel_fraction if weighted else part.novel_fraction
-    return score, part
+    return part.novel_fraction, part
 
 
 # --- belief-based novelty ---------------------------------------------------------

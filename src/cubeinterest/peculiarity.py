@@ -6,7 +6,8 @@ closest-relative and Hausdorff, built on the hierarchy hop-count cell
 distance), and Jaccard distance over detailed areas with k-NN selection.
 The cell distance depends only on the per-dimension depths of the cells'
 least common ancestors (LCA), so cells are never paired up: both sets are
-rolled up to each LCA-depth profile and matched as packed keys.
+rolled up to each LCA-depth profile and matched as packed keys, both ways.
+One such walk per pair of results gives both value scores.
 """
 
 from __future__ import annotations
@@ -167,14 +168,16 @@ def _profiles(a: CellSet, b: CellSet):
         yield total / len(a.dims), a.rollup_keys(depths), b.rollup_keys(depths)
 
 
-def nearest_cell_distances(a: CellSet, b: CellSet) -> np.ndarray:
-    """Distance from each cell of `a` to its nearest cell of `b`: the least
-    distance of a profile at which the cell's key appears among b's."""
-    best = np.full(a.size, np.inf)
+def nearest_cell_distances(a: CellSet, b: CellSet
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-cell distances of `a` to `b` and of `b` to `a`, from one walk
+    over the profiles: per cell, the least distance of a profile at which
+    its key appears among the other set's."""
+    a_to_b, b_to_a = np.full(a.size, np.inf), np.full(b.size, np.inf)
     for dist, keys_a, keys_b in _profiles(a, b):
-        np.minimum(best, np.where(np.isin(keys_a, keys_b), dist, np.inf),
-                   out=best)
-    return best
+        np.putmask(a_to_b, np.isin(keys_a, keys_b) & (a_to_b > dist), dist)
+        np.putmask(b_to_a, np.isin(keys_b, keys_a) & (b_to_a > dist), dist)
+    return a_to_b, b_to_a
 
 
 def pairwise_cell_distances(a: CellSet, b: CellSet) -> np.ndarray:
@@ -194,50 +197,49 @@ def closest_relative_distance(a: CellSet, b: CellSet) -> float:
     """Directed closest-relative distance: each cell of `a` is paired with
     its nearest cell of `b` and the pair distances are averaged. Not
     symmetric in general."""
-    return float(nearest_cell_distances(a, b).mean())
+    return float(nearest_cell_distances(a, b)[0].mean())
 
 
 def closest_relative_symmetric(a: CellSet, b: CellSet) -> float:
     """Average of the two directed closest-relative distances."""
-    return 0.5 * (closest_relative_distance(a, b)
-                  + closest_relative_distance(b, a))
+    return 0.5 * sum(float(d.mean()) for d in nearest_cell_distances(a, b))
 
 
 def hausdorff_distance(a: CellSet, b: CellSet) -> float:
     """Symmetric Hausdorff distance: the larger of the two directed
     max-of-min-pair distances."""
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+    return max(float(d.max()) for d in nearest_cell_distances(a, b))
 
 
 def directed_hausdorff(a: CellSet, b: CellSet) -> float:
-    return float(nearest_cell_distances(a, b).max())
+    return float(nearest_cell_distances(a, b)[0].max())
 
 
 def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
-                      metric: str = "hausdorff",
                       agg: AggregationSpec = AggregationSpec("average")
-                      ) -> float | None:
-    """Aggregate result-cell distance of q to a query collection.
+                      ) -> tuple[float, float] | None:
+    """Aggregate result-cell distances of q to a query collection, as the
+    pair (closest-relative directed from each member towards q, Hausdorff),
+    both from one profile walk per member (`nearest_cell_distances`).
 
-    `metric` is "hausdorff" or "closest_relative" (directed from each
-    collection member towards q). Results are read from entries, and a
-    bare query is evaluated once. A cell distance needs cells on both
-    sides, so a member with an empty result leaves the collection, and the
-    aggregation runs over the members left. None when q's result is empty
-    or no member is left.
+    Results are read from entries, and a bare query is evaluated once. A
+    cell distance needs cells on both sides, so a member with an empty
+    result leaves the collection, and the aggregation runs over the members
+    left. None when q's result is empty or no member is left.
     """
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
-    if metric not in ("hausdorff", "closest_relative"):
-        raise ValueError(f"unknown value-based metric {metric!r}")
     mine = as_entry(q).result_cells
     results = [r for r in (as_entry(x).result_cells for x in collection)
                if r.size]
     if not mine.size or not results:
         return None
-    fn = (hausdorff_distance if metric == "hausdorff"
-          else closest_relative_distance)
-    return agg.apply([fn(r, mine) for r in results])
+    closest, hausdorff = [], []
+    for r in results:
+        rq, qr = nearest_cell_distances(r, mine)
+        closest.append(float(rq.mean()))
+        hausdorff.append(max(float(rq.max()), float(qr.max())))
+    return agg.apply(closest), agg.apply(hausdorff)
 
 
 # --- Jaccard over detailed areas ---------------------------------------------

@@ -13,6 +13,7 @@ from cubeinterest.context import (
 )
 from cubeinterest.engine import CellSet, evaluate
 from cubeinterest.errors import EmptyFile, HistoryConsistencyError
+from cubeinterest.harness import generate_star_data
 from cubeinterest import qlang
 
 
@@ -49,6 +50,20 @@ def test_append_rejects_tampered_measures(pkdd_history):
     history = QueryHistory()
     with pytest.raises(HistoryConsistencyError):
         history.append(pkdd_history[0], result=tampered)
+
+
+def test_append_rejects_result_at_other_levels():
+    # Region ids relabelled as District ids pack to the same keys
+    cube = generate_star_data(20_000, 7).cube()
+    q = qlang.parse_query("SELECT avg(Amt) BY Account.Region", cube)
+    result = evaluate(q)
+    relabelled = CellSet(result.dims, ("District", "ALL", "ALL"),
+                         result.coords, result.measures)
+    history = QueryHistory()
+    with pytest.raises(HistoryConsistencyError):
+        history.append(q, result=relabelled)
+    history.append(q, result=result)
+    assert len(history) == 1
 
 
 def test_sessions_remain_separable(pkdd_history):

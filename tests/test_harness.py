@@ -255,9 +255,11 @@ def _plain_scores(q, ctx) -> dict:
     """The harness's scores recomputed by plain metric calls."""
     history = ctx.history.queries()
     same = [h for h in history if sorted(h.aggregates) == sorted(q.aggregates)]
+    pden, part = novelty.pden(q, same)
+    value_cr, value_hausdorff = peculiarity.value_peculiarity(q, history)
     return {
-        ("novelty", "pden"): novelty.pden(q, same)[0],
-        ("novelty", "wdn"): novelty.pden(q, same, weighted=True)[0],
+        ("novelty", "pden"): pden,
+        ("novelty", "wdn"): part.weighted_novel_fraction,
         ("novelty", "pslen"): novelty.same_level_novelty(
             q, history, "extensional")[0],
         ("novelty", "fsdn"): novelty.fsdn(q, history),
@@ -267,10 +269,8 @@ def _plain_scores(q, ctx) -> dict:
             q, history, basis="syntactic"),
         ("peculiarity", "jaccard"): peculiarity.jaccard_peculiarity(
             q, history, k=2),
-        ("peculiarity", "value_cr"): peculiarity.value_peculiarity(
-            q, history, metric="closest_relative"),
-        ("peculiarity", "value_hausdorff"): peculiarity.value_peculiarity(
-            q, history),
+        ("peculiarity", "value_cr"): value_cr,
+        ("peculiarity", "value_hausdorff"): value_hausdorff,
     }
 
 
@@ -344,6 +344,24 @@ def test_second_assessment_scans_the_query_alone(monkeypatch, star_cube):
         peculiarity.jaccard_peculiarity(q, history, k=2)
 
 
+def test_one_profile_walk_per_history_result(monkeypatch, star_cube):
+    """Both value-peculiarity scores come from one walk over the profiles
+    per non-empty history result."""
+    ctx, q = _star_session(star_cube)
+    ctx.history.append(_empty_query(star_cube))
+    walks = []
+    orig = peculiarity._profiles
+
+    def counted(a, b):
+        walks.append((a, b))
+        return orig(a, b)
+
+    monkeypatch.setattr(peculiarity, "_profiles", counted)
+    interestingness_vector(q, ctx)
+    nonempty = [e for e in ctx.history.entries if e.result_cells.size]
+    assert len(walks) == len(nonempty) == len(ctx.history) - 1
+
+
 def test_plain_calls_keep_no_memo(monkeypatch, star_cube):
     """Bare queries get fresh entries per call: every plain call scans q and
     each history query again."""
@@ -369,17 +387,11 @@ def test_entries_and_bare_queries_agree(star_cube):
         assert novelty.same_level_partition(
             HistoryEntry(q), [entries[i] for i in keep], basis) == \
             novelty.same_level_partition(q, [history[i] for i in keep], basis)
-    calls = [
-        (novelty.fsdn, {}),
-        (peculiarity.value_peculiarity, {"metric": "closest_relative"}),
-        (peculiarity.value_peculiarity, {"metric": "hausdorff"}),
-    ]
-    for weighted in (False, True):
-        calls += [(novelty.same_level_novelty,
-                   {"basis": basis, "weighted": weighted})
-                  for basis in ("syntactic", "extensional")]
-        calls += [(novelty.pdsn, {"weighted": weighted}),
-                  (novelty.pden, {"weighted": weighted})]
+    # whole (score, partition) results, so the weighted variants agree too
+    calls = [(novelty.fsdn, {}), (peculiarity.value_peculiarity, {}),
+             (novelty.pdsn, {}), (novelty.pden, {})]
+    calls += [(novelty.same_level_novelty, {"basis": basis})
+              for basis in ("syntactic", "extensional")]
     calls += [(relevance.detailed_relevance, {"mode": mode, "basis": basis})
               for mode, basis in (("full", "extensional"),
                                   ("partial", "syntactic"),
@@ -403,10 +415,9 @@ def test_empty_results_leave_value_peculiarity(star_cube):
     nonempty = ctx.history.queries()
     ctx.history.append(empty)
     scores = interestingness_vector(q, ctx).scores["peculiarity"]
-    for key, metric in (("value_cr", "closest_relative"),
-                        ("value_hausdorff", "hausdorff")):
-        expected = peculiarity.value_peculiarity(q, nonempty, metric=metric)
-        assert expected is not None and scores[key] == expected
+    expected = peculiarity.value_peculiarity(q, nonempty)
+    assert expected is not None
+    assert (scores["value_cr"], scores["value_hausdorff"]) == expected
     assert scores["jaccard"] is not None
 
     report = interestingness_vector(empty, ctx)
@@ -493,6 +504,27 @@ def test_cli_metrics_subset_and_errors(tmp_path, capsys):
     ])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--weights", "1,1,1"],
+    ["--weights", "a,b,c"],
+    ["--pi", "2", "--beliefs", str(PKDD / "beliefs.txt")],
+    ["--pi", "-0.5"],
+], ids=["weights-sum", "weights-text", "pi-with-beliefs", "pi-alone"])
+def test_cli_bad_input_exits_2(tmp_path, capsys, extra):
+    out = tmp_path / "report.json"
+    rc = main([
+        "assess",
+        "--schema", str(PKDD / "schema"),
+        "--facts", str(PKDD / "facts.csv"),
+        "--history", str(PKDD / "session.txt"),
+        "--query", (PKDD / "query.txt").read_text().strip(),
+        "--out", str(out), *extra,
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_gen_and_bench(tmp_path, capsys):

@@ -81,16 +81,14 @@ def test_metrics_match_oracles(seed):
     assert novelty.fslsn(q, history) == oracles.fslsn(q_spec, history_specs)
     assert novelty.fsdn(q, history) == oracles.fsdn(ocube, q_spec, history_specs)
 
-    got, _ = novelty.pdsn(q, history)
+    got, part = novelty.pdsn(q, history)
     assert got == _approx(oracles.pdsn(ocube, q_spec, history_specs))
-    got_w, _ = novelty.pdsn(q, history, weighted=True)
-    assert got_w == _approx(
+    assert part.weighted_novel_fraction == _approx(
         oracles.pdsn(ocube, q_spec, history_specs, weighted=True))
 
-    got, _ = novelty.pden(q, history)
+    got, part = novelty.pden(q, history)
     assert got == _approx(oracles.pden(ocube, q_spec, history_specs))
-    got_w, _ = novelty.pden(q, history, weighted=True)
-    assert got_w == _approx(
+    assert part.weighted_novel_fraction == _approx(
         oracles.pden(ocube, q_spec, history_specs, weighted=True))
 
     got, _ = novelty.same_level_novelty(q, history, "syntactic")

@@ -212,8 +212,7 @@ def test_pdsn_counts_match_oracle(hand):
     assert part.covered_count == len(mine & set().union(*theirs))
     assert part.covered_weight == sum(len(mine & t) for t in theirs)
     assert score == pytest.approx(oracles.pdsn(ocube, spec, specs))
-    weighted, _ = pdsn(q, history, weighted=True)
-    assert weighted == pytest.approx(
+    assert part.weighted_novel_fraction == pytest.approx(
         oracles.pdsn(ocube, spec, specs, weighted=True))
 
 
@@ -277,11 +276,11 @@ def test_wdn_weighting(ten_rows):
               "SELECT avg(Amt) BY Geo.Country WHERE Geo.City IN {Athens}")
     qj = q_of(ten_rows, "SELECT avg(Amt) BY Geo.Country "
                         "WHERE Geo.City IN {Athens} AND Date.Month IN {1996-01}")
-    score, part = pden(q, [qi, qj], weighted=True)
+    unweighted, part = pden(q, [qi, qj])
+    score = part.weighted_novel_fraction
     # novel weight 6; covered weights: 3 Athens cells once + 1996-01 twice
     assert part.covered_weight == 5.0
     assert score == pytest.approx(6 / 11)
-    unweighted, _ = pden(q, [qi, qj])
     assert score <= unweighted
 
 
@@ -315,9 +314,8 @@ def test_same_level_weighted_variant(hand):
                    "WHERE Geo.Country IN {Greece, France}")
     qi = q_of(hand, "SELECT avg(Amt) BY Geo.Country, Date.Year "
                     "WHERE Geo.Country IN {Greece}")
-    plain, _ = same_level_novelty(q, [qi, qi], "syntactic")
-    weighted, part = same_level_novelty(q, [qi, qi], "syntactic",
-                                        weighted=True)
+    plain, part = same_level_novelty(q, [qi, qi], "syntactic")
+    weighted = part.weighted_novel_fraction
     # the two Greece coordinates are each seen twice
     assert part.covered_weight == 4.0
     assert weighted == pytest.approx(2 / 6)
@@ -327,10 +325,10 @@ def test_same_level_weighted_variant(hand):
 def test_pden_matches_oracle_random():
     for seed in range(30):
         inst = build_instance(seed)
-        got, _ = pden(inst.q, inst.history)
+        got, part = pden(inst.q, inst.history)
         expected = oracles.pden(inst.ocube, inst.q_spec, inst.history_specs)
         assert got == pytest.approx(expected, abs=1e-12)
-        got_w, _ = pden(inst.q, inst.history, weighted=True)
+        got_w = part.weighted_novel_fraction
         expected_w = oracles.pden(inst.ocube, inst.q_spec, inst.history_specs,
                                   weighted=True)
         assert got_w == pytest.approx(expected_w, abs=1e-12)

@@ -183,8 +183,9 @@ def test_cell_set_distances_match_oracle(geo_cube, geo_oracle):
             assert matrix[i, j] == cell_distance(a.dims, ca, cb)
             assert matrix[i, j] == pytest.approx(oracles.cell_distance(
                 ocube, a.levels, cells_a[i], b.levels, cells_b[j]))
-    assert np.array_equal(nearest_cell_distances(a, b), matrix.min(axis=1))
-    assert np.array_equal(nearest_cell_distances(b, a), matrix.min(axis=0))
+    a_to_b, b_to_a = nearest_cell_distances(a, b)
+    assert np.array_equal(a_to_b, matrix.min(axis=1))
+    assert np.array_equal(b_to_a, matrix.min(axis=0))
 
 
 def test_hausdorff_containment_direction(geo_cube):
@@ -218,8 +219,7 @@ def test_pair_cap_and_empty(geo_cube):
 
 def test_value_peculiarity_self(geo_cube):
     q = q_of(geo_cube, "SELECT avg(Amt) BY Geo.Country")
-    for metric in ("hausdorff", "closest_relative"):
-        assert value_peculiarity(q, [q], metric=metric) == 0.0
+    assert value_peculiarity(q, [q]) == (0.0, 0.0)
     with pytest.raises(EmptyCollection):
         value_peculiarity(q, [])
 
@@ -230,8 +230,7 @@ def test_value_peculiarity_maximally_distant_bound(geo_cube):
                        "Geo.City IN {Athens} AND Date.Month IN {1996-01}")
     far = q_of(geo_cube, "SELECT avg(Amt) BY Geo.City, Date.Month WHERE "
                          "Geo.City IN {Toronto} AND Date.Month IN {1997-02}")
-    got = value_peculiarity(q, [far], metric="closest_relative",
-                            agg=AggregationSpec("min"))
+    got, _ = value_peculiarity(q, [far], agg=AggregationSpec("min"))
     assert got == pytest.approx(1.0)
 
 
@@ -258,11 +257,9 @@ def test_value_peculiarity_composed_oracle(geo_cube, geo_oracle):
         dists.append(oracles.hausdorff(
             ocube, r.levels, cells, mine.levels, mine_cells))
     expected = sum(dists) / len(dists)
-    got = value_peculiarity(q, history, metric="hausdorff",
-                            agg=AggregationSpec("average"))
+    _, got = value_peculiarity(q, history, agg=AggregationSpec("average"))
     assert got == pytest.approx(expected)
-    got_min = value_peculiarity(q, history, metric="closest_relative",
-                                agg=AggregationSpec("min"))
+    got_min, _ = value_peculiarity(q, history, agg=AggregationSpec("min"))
     assert got_min == pytest.approx(min(
         oracles.closest_relative(
             ocube, (r := evaluate(qi)).levels,

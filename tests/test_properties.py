@@ -4,6 +4,7 @@ Each @given example counts as one generated case; the per-test example
 counts are sized so the module generates well over a thousand cases.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from cubeinterest.peculiarity import (
     hausdorff_distance,
     jaccard_detailed_distance,
     jaccard_peculiarity,
+    nearest_cell_distances,
     query_distance,
     syntactic_peculiarity,
 )
@@ -42,10 +44,10 @@ def small(seed, n_queries=4):
 def test_partial_scores_within_unit_interval(seed):
     inst = small(seed)
     for fn in (pden, pdsn):
-        for weighted in (False, True):
-            score, part = fn(inst.q, inst.history, weighted=weighted)
-            assert 0.0 <= score <= 1.0
-            assert part.covered_count + part.novel_count == part.universe_size
+        score, part = fn(inst.q, inst.history)
+        for value in (score, part.weighted_novel_fraction):
+            assert 0.0 <= value <= 1.0
+        assert part.covered_count + part.novel_count == part.universe_size
     for basis in ("syntactic", "extensional"):
         score = detailed_relevance(inst.q, inst.history, basis=basis)
         assert 0.0 <= score <= 1.0
@@ -98,6 +100,10 @@ def test_result_distance_axioms(seed):
         d = hausdorff_distance(a, b)
         assert 0.0 <= d <= 1.0
         assert d == hausdorff_distance(b, a)
+        a_to_b, b_to_a = nearest_cell_distances(a, b)
+        b_to_a_swapped, a_to_b_swapped = nearest_cell_distances(b, a)
+        assert np.array_equal(a_to_b, a_to_b_swapped)
+        assert np.array_equal(b_to_a, b_to_a_swapped)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -177,9 +183,8 @@ def test_knn_nondecreasing_in_k(seed):
 @given(seeds)
 def test_wdn_bounded_by_pden(seed):
     inst = small(seed)
-    unweighted, _ = pden(inst.q, inst.history)
-    weighted, _ = pden(inst.q, inst.history, weighted=True)
-    assert weighted <= unweighted + 1e-12
+    unweighted, part = pden(inst.q, inst.history)
+    assert part.weighted_novel_fraction <= unweighted + 1e-12
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -1,9 +1,11 @@
 """The benchmark's span tracer wraps library functions by name; every name
 it wraps must still exist, so a rename or deletion fails here rather than
 breaking a traced benchmark run. An assessment must also still pass through
-the wrapped names whose per-layer metrics the benchmark reports, so a call
-routed around one cannot silently read 0."""
+the wrapped names whose per-layer metrics the benchmark reports, and time
+every metric key whose failures the benchmark counts, so a call routed
+around one, or a renamed key, cannot silently read 0."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -49,3 +51,20 @@ def test_assessment_records_the_detailed_spans(monkeypatch, pkdd_context,
     missing = [name for name in ASSESS_SPANS
                if table.get(("assess", name), {}).get("calls", 0) < 1]
     assert not missing
+
+
+def _failure_keys() -> tuple:
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "FAILURE_KEYS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no FAILURE_KEYS")
+
+
+def test_assessment_times_every_failure_key(pkdd_context, pkdd_query):
+    keys = _failure_keys()
+    assert keys
+    timed = interestingness_vector(pkdd_query, pkdd_context).timings_ms
+    assert [k for k in keys if k not in timed] == []
