@@ -123,12 +123,15 @@ def _assess(args) -> int:
 
 
 def _bench(args) -> int:
-    cfg = BenchConfig(
-        base_sizes=tuple(int(x) for x in args.base_sizes.split(",")),
-        history_sizes=tuple(int(x) for x in args.history_sizes.split(",")),
-        seed=args.seed,
-        repetitions=args.reps,
-    )
+    try:
+        cfg = BenchConfig(
+            base_sizes=tuple(int(x) for x in args.base_sizes.split(",")),
+            history_sizes=tuple(int(x) for x in args.history_sizes.split(",")),
+            seed=args.seed,
+            repetitions=args.reps,
+        )
+    except ValueError as exc:
+        raise CubeInterestError(f"bench: {exc}") from exc
     report = run_benchmark(cfg)
     Path(args.out).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -141,7 +144,10 @@ def _bench(args) -> int:
 
 
 def _gen(args) -> int:
-    paths = generate_star(args.rows, args.seed, args.out)
+    try:
+        paths = generate_star(args.rows, args.seed, args.out)
+    except ValueError as exc:
+        raise CubeInterestError(f"--rows: {exc}") from exc
     for path in paths.values():
         print(f"wrote {path}")
     return 0

@@ -120,9 +120,6 @@ class BeliefStore:
     def __iter__(self) -> Iterator[BeliefStatement]:
         return iter(self.statements)
 
-    def anchors(self) -> list[Anchor]:
-        return list(self._by_anchor)
-
     def at(self, anchor: Anchor, kinds: tuple[str, ...] = ("set", "interval", "label"),
            measure: str | None = None) -> list[BeliefStatement]:
         out = [s for s in self._by_anchor.get(anchor, ()) if s.kind in kinds]

@@ -405,9 +405,9 @@ def parse_label_rules(text: str, strict_coverage: bool = False):
 
     Returns (schemes by measure, label domain or None).
     """
-    from .surprise import LabelDomain, LabelInterval, LabelingScheme
+    from .surprise import LabelDomain, LabelingScheme
 
-    per_measure: dict[str, list[LabelInterval]] = {}
+    per_measure: dict[str, list[tuple[ValueInterval, str]]] = {}
     order: list[str] | None = None
     for line in text.splitlines():
         stripped = line.strip()
@@ -428,9 +428,7 @@ def parse_label_rules(text: str, strict_coverage: bool = False):
         p.expect("->")
         label = p.expect("word", expected="label name").text
         p.expect_eof()
-        per_measure.setdefault(measure_tok.text, []).append(
-            LabelInterval(interval.lo, interval.hi, interval.lo_closed,
-                          interval.hi_closed, label))
+        per_measure.setdefault(measure_tok.text, []).append((interval, label))
     schemes = {
         m: LabelingScheme(m, tuple(ivs), strict_coverage=strict_coverage)
         for m, ivs in per_measure.items()
@@ -487,11 +485,8 @@ def print_belief(statement: BeliefStatement, cube: DetailedCube) -> str:
 def print_label_rules(schemes: dict, domain=None) -> str:
     lines = []
     for measure in sorted(schemes):
-        for iv in schemes[measure].intervals:
-            lo = "[" if iv.lo_closed else "("
-            hi = "]" if iv.hi_closed else ")"
-            lines.append(
-                f"{measure}: {lo}{_num(iv.lo)}..{_num(iv.hi)}{hi} -> {iv.label}")
+        for interval, label in schemes[measure].intervals:
+            lines.append(f"{measure}: {interval.text()} -> {label}")
     if domain is not None and domain.kind != "nominal":
         lines.append("ORDER " + " < ".join(domain.labels))
     return "\n".join(lines)

@@ -4,23 +4,29 @@ Expectations come in three shapes: expected values per cell (value-based
 surprise, optionally min-max normalized), probability statements over value
 sets or intervals (probability surprise), and expected or probabilistic
 labels under a per-measure labeling scheme (label surprise, strict and
-loose). Cells without a registered expectation are excluded rather than
+loose, where the loose weight of a label is its distance from the actual
+one). Cells without a registered expectation are excluded rather than
 failed; a cube with no matching cell at all reports None (not assessable).
+
+Every cube-level score walks the result once (`_walk`): it reads each
+cell's values by column and resolves each expectation's measure name to a
+result column once per call, at its first use.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .context import (
+    Anchor,
     BeliefStatement,
     BeliefStore,
     CellSet,
     ExpectedLabels,
     ExpectedValues,
-    cell_anchor,
+    ValueInterval,
 )
 from .errors import (
     NoExpectedValues,
@@ -76,53 +82,33 @@ def _abs_distance(actual: float, expected: float) -> float:
 
 # --- labeling -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabelInterval:
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-    label: str
-
-    def contains(self, x: float) -> bool:
-        lo_ok = x >= self.lo if self.lo_closed else x > self.lo
-        hi_ok = x <= self.hi if self.hi_closed else x < self.hi
-        return lo_ok and hi_ok
-
-
 class LabelingScheme:
     """Total mapping from one measure's values to labels via disjoint
-    intervals. With strict coverage the intervals must also tile the
-    declared range without gaps."""
+    (interval, label) pairs. With strict coverage the intervals must also
+    tile the declared range without gaps."""
 
-    def __init__(self, measure: str, intervals: tuple[LabelInterval, ...],
+    def __init__(self, measure: str,
+                 intervals: tuple[tuple[ValueInterval, str], ...],
                  strict_coverage: bool = False):
         self.measure = measure
         self.intervals = tuple(sorted(
-            intervals, key=lambda iv: (iv.lo, not iv.lo_closed)))
-        self.strict_coverage = strict_coverage
-        for a, b in zip(self.intervals, self.intervals[1:]):
+            intervals, key=lambda pair: (pair[0].lo, not pair[0].lo_closed)))
+        for (a, a_label), (b, b_label) in zip(self.intervals,
+                                              self.intervals[1:]):
             if a.hi > b.lo or (a.hi == b.lo and a.hi_closed and b.lo_closed):
                 raise OverlappingIntervals(
-                    f"{measure}: intervals for {a.label} and {b.label} overlap")
+                    f"{measure}: intervals for {a_label} and {b_label} overlap")
             if strict_coverage and not (
                     a.hi == b.lo and (a.hi_closed != b.lo_closed)):
                 raise GapInCoverage(
-                    f"{measure}: gap between {a.label} and {b.label}")
+                    f"{measure}: gap between {a_label} and {b_label}")
 
     def label_of(self, value: float) -> str:
-        for iv in self.intervals:
-            if iv.contains(value):
-                return iv.label
+        for interval, label in self.intervals:
+            if interval.contains(value):
+                return label
         raise UnlabeledValue(
             f"value {value} of {self.measure} falls outside every interval")
-
-    def labels(self) -> tuple[str, ...]:
-        seen = []
-        for iv in self.intervals:
-            if iv.label not in seen:
-                seen.append(iv.label)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -174,7 +160,63 @@ def _resolve_measure_column(columns: Iterable[str], name: str) -> str | None:
     return hits[0] if hits else None
 
 
+# --- the walk over a result -----------------------------------------------------
+
+def _matches(entries: Mapping[str, object],
+             measures: Mapping[str, Sequence[float]],
+             resolved: dict[str, Sequence[float] | None],
+             row: int) -> Iterator[tuple[str, object, float]]:
+    """(measure name, payload, actual value at `row`) for each entry whose
+    measure name has a column in `measures`, in entry order. `resolved`
+    keeps each name's column (or None), so a name is resolved once."""
+    for name, payload in entries.items():
+        if name not in resolved:
+            col = _resolve_measure_column(measures, name)
+            resolved[name] = None if col is None else measures[col]
+        values = resolved[name]
+        if values is not None:
+            yield name, payload, float(values[row])
+
+
+def _walk(cells: CellSet, lookup: Callable[[Anchor], Mapping[str, object]]
+          ) -> Iterator[Iterator[tuple[str, object, float]]]:
+    """The one pass over a result: for each cell, in result order, whose
+    anchor `lookup` maps to a non-empty {measure name: payload}, the
+    `_matches` of those entries at the cell."""
+    measures = {name: values.tolist() for name, values in cells.measures.items()}
+    resolved: dict[str, Sequence[float] | None] = {}
+    for row, ids in enumerate(cells.coords.tolist()):
+        entries = lookup(tuple(zip(cells.levels, ids)))
+        if entries:
+            yield _matches(entries, measures, resolved, row)
+
+
+def _fold(cell_scores: Iterable[list[float]],
+          cfg: SurpriseConfig) -> float | None:
+    """`cell_agg` over each cell's per-measure scores, skipping cells with
+    none, then `cube_agg` over the cells; None when no cell scored."""
+    scores = [_aggregate(cfg.cell_agg, s) for s in cell_scores if s]
+    return _aggregate(cfg.cube_agg, scores) if scores else None
+
+
+def _statements_by_measure(beliefs: BeliefStore, kinds: tuple[str, ...]
+                           ) -> Callable[[Anchor], dict[str, list[BeliefStatement]]]:
+    """Lookup from an anchor to its statements of the given kinds, grouped
+    by measure name in order of first appearance."""
+    def lookup(anchor: Anchor) -> dict[str, list[BeliefStatement]]:
+        groups: dict[str, list[BeliefStatement]] = {}
+        for s in beliefs.at(anchor, kinds=kinds):
+            groups.setdefault(s.measure, []).append(s)
+        return groups
+    return lookup
+
+
 # --- value-based surprise ----------------------------------------------------------
+
+def _value_gaps(matches: Iterable[tuple[str, object, float]],
+                distance: Callable[[float, float], float]) -> list[float]:
+    return [distance(actual, float(exp)) for _, exp, actual in matches]
+
 
 def cell_value_surprise(cell_measures: Mapping[str, float],
                         expected: Mapping[str, float],
@@ -183,15 +225,11 @@ def cell_value_surprise(cell_measures: Mapping[str, float],
     """Surprise of one cell: per-measure distance between actual and
     expected values, folded by `cell_agg`. Measures without an expected
     value are excluded; raises NoExpectedValues when none matches."""
-    dists = []
-    for name, exp in expected.items():
-        col = _resolve_measure_column(cell_measures, name)
-        if col is None:
-            continue
-        dists.append(distance(float(cell_measures[col]), float(exp)))
-    if not dists:
+    measures = {name: (value,) for name, value in cell_measures.items()}
+    gaps = _value_gaps(_matches(expected, measures, {}, 0), distance)
+    if not gaps:
         raise NoExpectedValues("no measure of the cell has an expected value")
-    return _aggregate(cell_agg, dists)
+    return _aggregate(cell_agg, gaps)
 
 
 def value_surprise(cells: CellSet, expected: ExpectedValues,
@@ -200,19 +238,8 @@ def value_surprise(cells: CellSet, expected: ExpectedValues,
                    ) -> float | None:
     """Cube-level value surprise under the configured aggregations; None
     when no cell has a registered expectation."""
-    scores = []
-    for cell in cells.iter_cells():
-        exp = expected.lookup(cell_anchor(cell.levels, cell.ids))
-        if not exp:
-            continue
-        try:
-            scores.append(cell_value_surprise(
-                cell.measures, exp, distance, cfg.cell_agg))
-        except NoExpectedValues:
-            continue
-    if not scores:
-        return None
-    return _aggregate(cfg.cube_agg, scores)
+    return _fold((_value_gaps(m, distance)
+                  for m in _walk(cells, expected.lookup)), cfg)
 
 
 def normalized_value_surprise(cells: CellSet, expected: ExpectedValues,
@@ -234,21 +261,19 @@ def normalized_value_surprise(cells: CellSet, expected: ExpectedValues,
         if column is None:
             raise UnknownMeasure(f"result has no measure {measure!r}")
     base = column[column.index("(") + 1:-1] if "(" in column else column
-    dists = []
-    for cell in cells.iter_cells():
-        exp = expected.lookup(cell_anchor(cell.levels, cell.ids))
-        value = None
+
+    def lookup(anchor: Anchor) -> dict[str, float]:
+        exp = expected.lookup(anchor)
         for name in (column, base):
             if name in exp:
-                value = exp[name]
-                break
+                return {column: exp[name]}
             hits = [k for k in exp if k.lower() == name.lower()]
             if hits:
-                value = exp[hits[0]]
-                break
-        if value is None:
-            continue
-        dists.append(abs(float(cell.measures[column]) - float(value)))
+                return {column: exp[hits[0]]}
+        return {}
+
+    dists = [abs(actual - float(value))
+             for m in _walk(cells, lookup) for _, value, actual in m]
     if not dists:
         return None
     lo, hi = min(dists), max(dists)
@@ -263,14 +288,18 @@ def normalized_value_surprise(cells: CellSet, expected: ExpectedValues,
 _KINDS_BY_MODE = {"exact": ("set",), "interval": ("interval",)}
 
 
+def _value_kinds(mode: str) -> tuple[str, ...]:
+    try:
+        return _KINDS_BY_MODE[mode]
+    except KeyError:
+        raise ValueError(f"unknown probability surprise mode {mode!r}") from None
+
+
 def probability_surprise(statements: Iterable[BeliefStatement], actual: float,
                          mode: str = "exact") -> float:
     """Sum of the probabilities of all registered value sets (`exact`) or
     ranges (`interval`) that do not contain the actual value."""
-    try:
-        kinds = _KINDS_BY_MODE[mode]
-    except KeyError:
-        raise ValueError(f"unknown probability surprise mode {mode!r}") from None
+    kinds = _value_kinds(mode)
     total = 0.0
     for s in statements:
         if s.kind not in kinds:
@@ -287,30 +316,22 @@ def cube_probability_surprise(cells: CellSet, beliefs: BeliefStore,
     """Cube-level probability surprise: per cell and measure, the sum of
     off-value probabilities, folded by the configured aggregations. None
     when no cell carries a matching statement."""
-    kinds = _KINDS_BY_MODE[mode]
-    scores = []
-    for cell in cells.iter_cells():
-        stmts = beliefs.at(cell_anchor(cell.levels, cell.ids), kinds=kinds)
-        if not stmts:
-            continue
-        per_measure: dict[str, list[BeliefStatement]] = {}
-        for s in stmts:
-            per_measure.setdefault(s.measure, []).append(s)
-        measure_scores = []
-        for name, group in per_measure.items():
-            col = _resolve_measure_column(cell.measures, name)
-            if col is None:
-                continue
-            measure_scores.append(
-                probability_surprise(group, float(cell.measures[col]), mode))
-        if measure_scores:
-            scores.append(_aggregate(cfg.cell_agg, measure_scores))
-    if not scores:
-        return None
-    return _aggregate(cfg.cube_agg, scores)
+    lookup = _statements_by_measure(beliefs, _value_kinds(mode))
+    return _fold(([probability_surprise(group, actual, mode)
+                   for _, group, actual in m]
+                  for m in _walk(cells, lookup)), cfg)
 
 
 # --- label-based surprise -----------------------------------------------------------
+
+def _label(schemes: Mapping[str, LabelingScheme], measure: str,
+           value: float) -> str:
+    """The label of `value` under the scheme of `measure` (any case)."""
+    for name, scheme in schemes.items():
+        if name.lower() == measure.lower():
+            return scheme.label_of(value)
+    raise UnlabeledValue(f"no labeling scheme for measure {measure!r}")
+
 
 def label_surprise(cells: CellSet, expected: ExpectedLabels,
                    schemes: Mapping[str, LabelingScheme],
@@ -325,70 +346,41 @@ def label_surprise(cells: CellSet, expected: ExpectedLabels,
     if label_distance == "interval" and domain is None:
         raise NominalLooseUnsupported(
             "interval label distance needs a label domain")
-    scores = []
-    for cell in cells.iter_cells():
-        exp = expected.lookup(cell_anchor(cell.levels, cell.ids))
-        dists = []
-        for name, exp_label in exp.items():
-            col = _resolve_measure_column(cell.measures, name)
-            if col is None:
-                continue
-            scheme = _scheme_for(schemes, name)
-            actual_label = scheme.label_of(float(cell.measures[col]))
-            if label_distance == "nominal":
-                dists.append(0.0 if actual_label == exp_label else 1.0)
-            else:
-                dists.append(domain.distance(actual_label, exp_label))
-        if dists:
-            scores.append(_aggregate(cfg.cell_agg, dists))
-    if not scores:
-        return None
-    return _aggregate(cfg.cube_agg, scores)
+
+    def gap(actual_label: str, exp_label: str) -> float:
+        if label_distance == "nominal":
+            return 0.0 if actual_label == exp_label else 1.0
+        return domain.distance(actual_label, exp_label)
+
+    return _fold(([gap(_label(schemes, name, actual), exp_label)
+                   for name, exp_label, actual in m]
+                  for m in _walk(cells, expected.lookup)), cfg)
 
 
 def strict_label_surprise(cells: CellSet, expected: ExpectedLabels,
                           schemes: Mapping[str, LabelingScheme]) -> bool:
     """True iff any cell has any measure whose actual label differs from
     its expected label (early exit on the first mismatch)."""
-    for cell in cells.iter_cells():
-        exp = expected.lookup(cell_anchor(cell.levels, cell.ids))
-        for name, exp_label in exp.items():
-            col = _resolve_measure_column(cell.measures, name)
-            if col is None:
-                continue
-            scheme = _scheme_for(schemes, name)
-            if scheme.label_of(float(cell.measures[col])) != exp_label:
-                return True
-    return False
-
-
-def _scheme_for(schemes: Mapping[str, LabelingScheme],
-                measure: str) -> LabelingScheme:
-    for name, scheme in schemes.items():
-        if name.lower() == measure.lower():
-            return scheme
-    raise UnlabeledValue(f"no labeling scheme for measure {measure!r}")
+    return any(_label(schemes, name, actual) != exp_label
+               for m in _walk(cells, expected.lookup)
+               for name, exp_label, actual in m)
 
 
 def prob_label_surprise(statements: Iterable[BeliefStatement],
                         actual_label: str,
                         mode: str = "strict",
-                        domain: LabelDomain | None = None,
-                        weight_fn: Callable[[float], float] | None = None
-                        ) -> float:
+                        domain: LabelDomain | None = None) -> float:
     """Surprise of one cell from probabilistic label beliefs.
 
     Strict: sum of the probabilities of labels other than the actual one.
-    Loose: the same sum with each term weighted by a monotone function of
-    the label distance (identity by default); needs a non-nominal domain.
+    Loose: the same sum with each term weighted by its label's distance
+    from the actual one; needs a non-nominal domain.
     """
     if mode not in ("strict", "loose"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "loose":
-        if domain is None or domain.kind == "nominal":
-            raise NominalLooseUnsupported(
-                "loose label surprise needs an ordinal or interval domain")
-        weight = weight_fn or (lambda d: d)
+    if mode == "loose" and (domain is None or domain.kind == "nominal"):
+        raise NominalLooseUnsupported(
+            "loose label surprise needs an ordinal or interval domain")
     total = 0.0
     for s in statements:
         if s.kind != "label" or s.values == actual_label:
@@ -396,7 +388,7 @@ def prob_label_surprise(statements: Iterable[BeliefStatement],
         if mode == "strict":
             total += s.probability
         else:
-            total += weight(domain.distance(s.values, actual_label)) * s.probability
+            total += domain.distance(s.values, actual_label) * s.probability
     return total
 
 
@@ -404,30 +396,12 @@ def cube_prob_label_surprise(cells: CellSet, beliefs: BeliefStore,
                              schemes: Mapping[str, LabelingScheme],
                              mode: str = "strict",
                              domain: LabelDomain | None = None,
-                             weight_fn: Callable[[float], float] | None = None,
                              cfg: SurpriseConfig = DEFAULT_CONFIG
                              ) -> float | None:
     """Cube-level probabilistic label surprise; None when no cell carries a
     label belief over a resolvable measure."""
-    scores = []
-    for cell in cells.iter_cells():
-        stmts = beliefs.at(cell_anchor(cell.levels, cell.ids), kinds=("label",))
-        if not stmts:
-            continue
-        per_measure: dict[str, list[BeliefStatement]] = {}
-        for s in stmts:
-            per_measure.setdefault(s.measure, []).append(s)
-        measure_scores = []
-        for name, group in per_measure.items():
-            col = _resolve_measure_column(cell.measures, name)
-            if col is None:
-                continue
-            scheme = _scheme_for(schemes, name)
-            actual_label = scheme.label_of(float(cell.measures[col]))
-            measure_scores.append(prob_label_surprise(
-                group, actual_label, mode, domain, weight_fn))
-        if measure_scores:
-            scores.append(_aggregate(cfg.cell_agg, measure_scores))
-    if not scores:
-        return None
-    return _aggregate(cfg.cube_agg, scores)
+    lookup = _statements_by_measure(beliefs, ("label",))
+    return _fold(([prob_label_surprise(group, _label(schemes, name, actual),
+                                       mode, domain)
+                   for name, group, actual in m]
+                  for m in _walk(cells, lookup)), cfg)

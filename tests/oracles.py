@@ -376,3 +376,147 @@ def minmax_normalized_avg(dists: list[float]) -> float | None:
     if hi == lo:
         return 0.0
     return (statistics.fmean(dists) - lo) / (hi - lo)
+
+
+# --- cube-level surprise -------------------------------------------------------------
+#
+# A result is a list of (anchor, {column: value}) in result order. Expected
+# values and labels map anchor -> {measure name: value or label}. A belief is
+# (anchor, measure, kind, values, probability): values is a tuple of numbers
+# for "set", (lo, hi, lo_closed, hi_closed) for "interval" and a label name
+# for "label". Label rules map measure -> [(lo, hi, lo_closed, hi_closed,
+# label)]; `order` lists ordinal labels, or is None for 0/1 label distance.
+
+
+class AmbiguousMeasure(Exception):
+    pass
+
+
+def measure_column(row: dict[str, float], name: str) -> str | None:
+    """The column named `name` in any case, else the one column aggregating
+    measure `name`, else None."""
+    for col in row:
+        if col.lower() == name.lower():
+            return col
+    hits = [col for col in row if col.lower().endswith(f"({name.lower()})")]
+    if len(hits) > 1:
+        raise AmbiguousMeasure(name)
+    return hits[0] if hits else None
+
+
+def fold(kind: str, values: list[float]) -> float:
+    if kind == "count":
+        return float(len([v for v in values if v > 0]))
+    if kind == "sum":
+        return math.fsum(values)
+    if kind == "mean":
+        return statistics.fmean(values)
+    if kind == "median":
+        return statistics.median(values)
+    return max(values) if kind == "max" else min(values)
+
+
+def _cube_score(per_cell, cell_agg, cube_agg):
+    scores = [fold(cell_agg, s) for s in per_cell if s]
+    return fold(cube_agg, scores) if scores else None
+
+
+def _in_interval(x, lo, hi, lo_closed, hi_closed) -> bool:
+    return ((lo <= x if lo_closed else lo < x)
+            and (x <= hi if hi_closed else x < hi))
+
+
+def rule_label(rules, measure: str, x: float) -> str | None:
+    for name, intervals in rules.items():
+        if name.lower() == measure.lower():
+            for lo, hi, lo_closed, hi_closed, label in intervals:
+                if _in_interval(x, lo, hi, lo_closed, hi_closed):
+                    return label
+    return None
+
+
+def label_gap(order, a: str, b: str) -> float:
+    if order is None:
+        return 0.0 if a == b else 1.0
+    return abs(order.index(a) - order.index(b)) / (len(order) - 1)
+
+
+def cube_value_surprise(cells, expected, cell_agg, cube_agg):
+    per_cell = []
+    for anchor, row in cells:
+        gaps = []
+        for name, exp in expected.get(anchor, {}).items():
+            col = measure_column(row, name)
+            if col is not None:
+                gaps.append(abs(row[col] - exp))
+        per_cell.append(gaps)
+    return _cube_score(per_cell, cell_agg, cube_agg)
+
+
+def _beliefs_by_measure(beliefs, anchor, kind):
+    out: dict[str, list] = {}
+    for b_anchor, measure, b_kind, values, p in beliefs:
+        if b_anchor == anchor and b_kind == kind:
+            out.setdefault(measure, []).append((values, p))
+    return out
+
+
+def cube_probability_surprise(cells, beliefs, kind, cell_agg, cube_agg):
+    """kind "set" (exact mode) or "interval" (interval mode)."""
+    per_cell = []
+    for anchor, row in cells:
+        scores = []
+        for measure, stmts in _beliefs_by_measure(beliefs, anchor, kind).items():
+            col = measure_column(row, measure)
+            if col is None:
+                continue
+            x = row[col]
+            if kind == "set":
+                held = [any(math.isclose(x, v, rel_tol=1e-12, abs_tol=1e-12)
+                            for v in values) for values, _ in stmts]
+            else:
+                held = [_in_interval(x, *values) for values, _ in stmts]
+            scores.append(math.fsum(
+                p for (_, p), h in zip(stmts, held) if not h))
+        per_cell.append(scores)
+    return _cube_score(per_cell, cell_agg, cube_agg)
+
+
+def cube_label_surprise(cells, expected, rules, order, cell_agg, cube_agg):
+    per_cell = []
+    for anchor, row in cells:
+        gaps = []
+        for name, exp_label in expected.get(anchor, {}).items():
+            col = measure_column(row, name)
+            if col is not None:
+                gaps.append(label_gap(order, rule_label(rules, name, row[col]),
+                                      exp_label))
+        per_cell.append(gaps)
+    return _cube_score(per_cell, cell_agg, cube_agg)
+
+
+def strict_label_surprise(cells, expected, rules) -> bool:
+    for anchor, row in cells:
+        for name, exp_label in expected.get(anchor, {}).items():
+            col = measure_column(row, name)
+            if col is not None and rule_label(rules, name, row[col]) != exp_label:
+                return True
+    return False
+
+
+def cube_prob_label_surprise(cells, beliefs, rules, order, cell_agg, cube_agg):
+    """Strict mode when `order` is None, else loose: each off-label
+    probability weighted by its label's distance from the actual one."""
+    per_cell = []
+    for anchor, row in cells:
+        scores = []
+        for measure, stmts in _beliefs_by_measure(beliefs, anchor, "label").items():
+            col = measure_column(row, measure)
+            if col is None:
+                continue
+            actual = rule_label(rules, measure, row[col])
+            scores.append(math.fsum(
+                p * (1.0 if order is None else label_gap(order, label, actual))
+                for label, p in stmts if label != actual))
+        per_cell.append(scores)
+    return _cube_score(per_cell, cell_agg, cube_agg)

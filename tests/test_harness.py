@@ -506,22 +506,31 @@ def test_cli_metrics_subset_and_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [
-    ["--weights", "1,1,1"],
-    ["--weights", "a,b,c"],
-    ["--pi", "2", "--beliefs", str(PKDD / "beliefs.txt")],
-    ["--pi", "-0.5"],
-], ids=["weights-sum", "weights-text", "pi-with-beliefs", "pi-alone"])
-def test_cli_bad_input_exits_2(tmp_path, capsys, extra):
-    out = tmp_path / "report.json"
-    rc = main([
+def _assess_argv(*extra):
+    return lambda out: [
         "assess",
         "--schema", str(PKDD / "schema"),
         "--facts", str(PKDD / "facts.csv"),
         "--history", str(PKDD / "session.txt"),
         "--query", (PKDD / "query.txt").read_text().strip(),
         "--out", str(out), *extra,
-    ])
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    _assess_argv("--weights", "1,1,1"),
+    _assess_argv("--weights", "a,b,c"),
+    _assess_argv("--pi", "2", "--beliefs", str(PKDD / "beliefs.txt")),
+    _assess_argv("--pi", "-0.5"),
+    lambda out: ["bench", "--reps", "0", "--out", str(out)],
+    lambda out: ["bench", "--base-sizes", "10,x", "--out", str(out)],
+    lambda out: ["bench", "--history-sizes", "0", "--out", str(out)],
+    lambda out: ["gen", "--rows", "0", "--out", str(out)],
+], ids=["weights-sum", "weights-text", "pi-with-beliefs", "pi-alone",
+        "bench-reps", "bench-base-sizes", "bench-history-sizes", "gen-rows"])
+def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv(out))
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

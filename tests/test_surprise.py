@@ -1,20 +1,27 @@
+import random
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import oracles
 from cubeinterest.context import (
+    BeliefStatement,
     BeliefStore,
     ExpectedLabels,
     ExpectedValues,
+    ValueInterval,
     cell_anchor,
     load_expected_values,
 )
-from cubeinterest.engine import evaluate
+from cubeinterest.engine import CellSet, evaluate
 from cubeinterest.errors import (
     NoExpectedValues,
     NominalLooseUnsupported,
+    UnknownMeasure,
     UnlabeledValue,
 )
+from cubeinterest.mdm import dimension_from_rows
 from cubeinterest.surprise import (
     LabelDomain,
     LabelingScheme,
@@ -339,3 +346,176 @@ def test_surprise_strict_consistency(work_scheme):
         partial = label_surprise(result, expected, schemes)
         assert strict is want
         assert (partial > 0) is want
+
+
+# --- cube-level scores against the plain-python references ---------------------------
+
+CASE_RULES = ("Amt: [0..10) -> Low\nAmt: [10..20) -> Mid\nAmt: [20..40] -> High\n"
+              "Qty: [0..15] -> Low\nQty: (15..25) -> Mid\nQty: [25..40] -> High\n"
+              "ORDER Low < Mid < High\n")
+ORACLE_RULES = {
+    "Amt": [(0, 10, True, False, "Low"), (10, 20, True, False, "Mid"),
+            (20, 40, True, True, "High")],
+    "Qty": [(0, 15, True, True, "Low"), (15, 25, False, False, "Mid"),
+            (25, 40, True, True, "High")],
+}
+ORDER = ["Low", "Mid", "High"]
+# Names differing in case, exact columns, base measures and one measure the
+# result does not carry.
+VALUE_NAMES = ("Amt", "amt", "SUM(amt)", "Qty", "qty", "avg(QTY)", "Other")
+LABEL_NAMES = ("Amt", "amt", "Qty", "QTY", "Other")
+AGG_PAIRS = (("max", "mean"), ("sum", "median"), ("count", "sum"),
+             ("min", "max"), ("mean", "count"), ("median", "min"))
+
+
+def _grid_cells(columns: dict[str, list[float]], pairs) -> CellSet:
+    geo = dimension_from_rows("Geo", ["City"], [(f"c{i}",) for i in range(5)])
+    date = dimension_from_rows("Date", ["Year"], [(str(2000 + i),)
+                                                  for i in range(4)])
+    return CellSet((geo, date), ("City", "Year"),
+                   np.array(pairs, dtype=np.int32).reshape(-1, 2),
+                   {name: np.array(v) for name, v in columns.items()})
+
+
+def _surprise_case(seed: int) -> SimpleNamespace:
+    """A result with two aggregates, expectations on part of its cells (and
+    on one anchor outside it), and beliefs of every kind, built once for the
+    package and once as plain data for the references."""
+    rnd = random.Random(seed)
+    grid = [(g, d) for g in range(5) for d in range(4)]
+    rnd.shuffle(grid)
+    pairs, outside = grid[:14], grid[14]
+    amt = [rnd.randrange(81) / 2 for _ in pairs]
+    qty = [rnd.randrange(81) / 2 for _ in pairs]
+    cells = _grid_cells({"sum(Amt)": amt, "avg(Qty)": qty}, pairs)
+    anchors = [cell_anchor(cells.levels, ids) for ids in pairs]
+    ocells = [(a, {"sum(Amt)": x, "avg(Qty)": y})
+              for a, x, y in zip(anchors, amt, qty)]
+    out_anchor = cell_anchor(cells.levels, outside)
+
+    expected, oexpected = ExpectedValues(), {}
+    labels, olabels = ExpectedLabels(), {}
+    beliefs, obeliefs = BeliefStore(), []
+    for anchor, x, y in zip(anchors + [out_anchor], amt + [1.0], qty + [1.0]):
+        if rnd.random() < 0.7:
+            for name in rnd.sample(VALUE_NAMES, rnd.randint(1, 3)):
+                value = rnd.randrange(81) / 2
+                expected.register(anchor, name, value)
+                oexpected.setdefault(anchor, {})[name] = value
+        if rnd.random() < 0.6:
+            for name in rnd.sample(LABEL_NAMES, rnd.randint(1, 2)):
+                label = rnd.choice(ORDER)
+                labels.register(anchor, name, label)
+                olabels.setdefault(anchor, {})[name] = label
+        if rnd.random() < 0.2:
+            continue
+        for _ in range(rnd.randint(1, 5)):
+            measure = rnd.choice(("Amt", "qty", "sum(Amt)", "Other"))
+            kind = rnd.choice(("set", "interval", "label"))
+            p = rnd.randrange(1, 11) / 10
+            if kind == "set":
+                hit = x if "amt" in measure.lower() else y
+                plain = tuple(sorted({hit if rnd.random() < 0.5 else 3.0,
+                                      rnd.randrange(81) / 2}))
+                values = frozenset(plain)
+            elif kind == "interval":
+                lo = rnd.randrange(0, 30)
+                plain = (lo, lo + rnd.randrange(1, 15), rnd.random() < 0.5,
+                         rnd.random() < 0.5)
+                values = ValueInterval(*plain)
+            else:
+                if measure == "sum(Amt)":
+                    measure = "amt"
+                plain = values = rnd.choice(ORDER)
+            beliefs.add(BeliefStatement(measure, kind, values, p, anchor))
+            obeliefs.append((anchor, measure, kind, plain, p))
+    schemes, domain = qlang.parse_label_rules(CASE_RULES)
+    return SimpleNamespace(cells=cells, ocells=ocells, expected=expected,
+                           oexpected=oexpected, labels=labels,
+                           olabels=olabels, beliefs=beliefs,
+                           obeliefs=obeliefs, schemes=schemes, domain=domain)
+
+
+def _same(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cube_surprise_matches_oracle(seed):
+    c = _surprise_case(seed)
+    scored = 0
+    for cell_agg, cube_agg in AGG_PAIRS:
+        cfg = SurpriseConfig(cell_agg, cube_agg)
+        cfg_pair = (cell_agg, cube_agg)
+        checks = [
+            (value_surprise(c.cells, c.expected, cfg),
+             oracles.cube_value_surprise(c.ocells, c.oexpected, *cfg_pair)),
+            (cube_probability_surprise(c.cells, c.beliefs, "exact", cfg),
+             oracles.cube_probability_surprise(c.ocells, c.obeliefs, "set",
+                                               *cfg_pair)),
+            (cube_probability_surprise(c.cells, c.beliefs, "interval", cfg),
+             oracles.cube_probability_surprise(c.ocells, c.obeliefs,
+                                               "interval", *cfg_pair)),
+            (label_surprise(c.cells, c.labels, c.schemes, cfg=cfg),
+             oracles.cube_label_surprise(c.ocells, c.olabels, ORACLE_RULES,
+                                         None, *cfg_pair)),
+            (label_surprise(c.cells, c.labels, c.schemes, c.domain,
+                            "interval", cfg),
+             oracles.cube_label_surprise(c.ocells, c.olabels, ORACLE_RULES,
+                                         ORDER, *cfg_pair)),
+            (cube_prob_label_surprise(c.cells, c.beliefs, c.schemes, "strict",
+                                      cfg=cfg),
+             oracles.cube_prob_label_surprise(c.ocells, c.obeliefs,
+                                              ORACLE_RULES, None, *cfg_pair)),
+            (cube_prob_label_surprise(c.cells, c.beliefs, c.schemes, "loose",
+                                      c.domain, cfg=cfg),
+             oracles.cube_prob_label_surprise(c.ocells, c.obeliefs,
+                                              ORACLE_RULES, ORDER,
+                                              *cfg_pair)),
+        ]
+        for got, want in checks:
+            _same(got, want)
+            scored += want is not None
+    assert scored >= 5 * len(AGG_PAIRS)
+    assert strict_label_surprise(c.cells, c.labels, c.schemes) is \
+        oracles.strict_label_surprise(c.ocells, c.olabels, ORACLE_RULES)
+
+
+def _ambiguous_case():
+    cells = _grid_cells({"sum(Amt)": [5.0], "avg(Amt)": [5.0]}, [(0, 0)])
+    anchor = cell_anchor(cells.levels, (0, 0))
+    expected, labels = ExpectedValues(), ExpectedLabels()
+    expected.register(anchor, "Amt", 4.0)
+    labels.register(anchor, "Amt", "Low")
+    beliefs = BeliefStore([
+        BeliefStatement("Amt", "set", frozenset({4.0}), 0.5, anchor),
+        BeliefStatement("Amt", "interval", ValueInterval(0, 4), 0.5, anchor),
+        BeliefStatement("Amt", "label", "Mid", 0.5, anchor),
+    ])
+    schemes, domain = qlang.parse_label_rules(CASE_RULES)
+    return cells, expected, labels, beliefs, schemes, domain
+
+
+@pytest.mark.parametrize("score", [
+    lambda c, e, l, b, s, d: value_surprise(c, e),
+    lambda c, e, l, b, s, d: cube_probability_surprise(c, b, "exact"),
+    lambda c, e, l, b, s, d: cube_probability_surprise(c, b, "interval"),
+    lambda c, e, l, b, s, d: label_surprise(c, l, s),
+    lambda c, e, l, b, s, d: strict_label_surprise(c, l, s),
+    lambda c, e, l, b, s, d: cube_prob_label_surprise(c, b, s, "loose", d),
+], ids=["value", "prob-exact", "prob-interval", "label", "label-strict",
+        "label-prob"])
+def test_cube_surprise_ambiguous_measure_raises(score):
+    """An expectation on Amt matches both sum(Amt) and avg(Amt)."""
+    with pytest.raises(UnknownMeasure):
+        score(*_ambiguous_case())
+
+
+def test_probability_surprise_bad_mode_is_value_error(pkdd_query):
+    with pytest.raises(ValueError):
+        probability_surprise([], 1.0, "bogus")
+    with pytest.raises(ValueError):
+        cube_probability_surprise(evaluate(pkdd_query), BeliefStore(), "bogus")
