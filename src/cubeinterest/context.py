@@ -4,6 +4,11 @@ The context is the mutable session state the metrics read from; metrics
 operate on snapshots and never write back. Belief statements are anchored
 at explicit coordinates (unstated dimensions default to ALL) and carry a
 probability for a value set, a value interval, or a label.
+
+Expected values and expected labels share one store type and one CSV
+loader, which resolves the header once so that a row costs dict lookups
+only. Session, belief and goal files are read by one line reader that
+skips blank and `#` lines.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .engine import (
     DetailedCube,
     FactoredSignature,
     SelectionCondition,
+    _MemberIds,
     detailed_area_keys,
     detailed_signature,
     evaluate,
@@ -30,6 +36,7 @@ from .engine import (
 from .errors import (
     EmptyFile,
     HistoryConsistencyError,
+    MalformedFactRow,
     UnknownLevel,
     UnknownMeasure,
 )
@@ -120,12 +127,9 @@ class BeliefStore:
     def __iter__(self) -> Iterator[BeliefStatement]:
         return iter(self.statements)
 
-    def at(self, anchor: Anchor, kinds: tuple[str, ...] = ("set", "interval", "label"),
-           measure: str | None = None) -> list[BeliefStatement]:
-        out = [s for s in self._by_anchor.get(anchor, ()) if s.kind in kinds]
-        if measure is not None:
-            out = [s for s in out if s.measure.lower() == measure.lower()]
-        return out
+    def at(self, anchor: Anchor, kinds: tuple[str, ...] = ("set", "interval", "label")
+           ) -> list[BeliefStatement]:
+        return [s for s in self._by_anchor.get(anchor, ()) if s.kind in kinds]
 
 
 def known_cells(beliefs: BeliefStore, pi: float) -> set[Anchor]:
@@ -243,15 +247,16 @@ def filter_history_same_measures(
 
 
 class ExpectedValues:
-    """Expected measure values registered per anchored coordinate."""
+    """Expected measure values, or expected labels, registered per anchored
+    coordinate. `ExpectedLabels` is the same store."""
 
     def __init__(self):
-        self._data: dict[Anchor, dict[str, float]] = {}
+        self._data: dict[Anchor, dict[str, float | str]] = {}
 
-    def register(self, anchor: Anchor, measure: str, value: float):
-        self._data.setdefault(anchor, {})[measure] = float(value)
+    def register(self, anchor: Anchor, measure: str, value: float | str):
+        self._data.setdefault(anchor, {})[measure] = value
 
-    def lookup(self, anchor: Anchor) -> dict[str, float]:
+    def lookup(self, anchor: Anchor) -> dict[str, float | str]:
         return self._data.get(anchor, {})
 
     def __len__(self) -> int:
@@ -261,63 +266,32 @@ class ExpectedValues:
         return self._data.items()
 
 
-class ExpectedLabels:
-    """Expected labels registered per anchored coordinate."""
-
-    def __init__(self):
-        self._data: dict[Anchor, dict[str, str]] = {}
-
-    def register(self, anchor: Anchor, measure: str, label: str):
-        self._data.setdefault(anchor, {})[measure] = label
-
-    def lookup(self, anchor: Anchor) -> dict[str, str]:
-        return self._data.get(anchor, {})
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self):
-        return self._data.items()
-
-
-def _anchor_from_columns(cube: DetailedCube, header: list[str],
-                         row: list[str], coord_cols: list[int]) -> Anchor:
-    """Resolve coordinate columns (level names) of a CSV row to an anchor."""
-    parts: dict[str, tuple[str, int]] = {}
-    for c in coord_cols:
-        level_name = header[c]
-        hits = [d for d in cube.dims if d.has_level(level_name)]
-        if not hits:
-            raise UnknownLevel(f"no dimension has level {level_name!r}")
-        if len(hits) > 1:
-            raise UnknownLevel(f"level {level_name!r} is ambiguous across dimensions")
-        dim = hits[0]
-        member = dim.member(level_name, row[c].strip())
-        parts[dim.name] = (dim.level(level_name).name, member.id)
-    return tuple(parts.get(d.name, (ALL_LEVEL, 0)) for d in cube.dims)
+ExpectedLabels = ExpectedValues
 
 
 def load_expected_values(path: str | Path, cube: DetailedCube) -> ExpectedValues:
-    """Read an expected-values CSV: coordinate columns (level names), then
-    `measure` and `expected` columns."""
-    out = ExpectedValues()
-    for anchor, measure, raw in _iter_expectation_rows(path, cube):
-        out.register(anchor, measure, float(raw))
-    return out
+    """Read an expected-values CSV: coordinate columns, `measure`, `expected`."""
+    return _load_expectations(path, cube, ("expected",), float)
 
 
 def load_expected_labels(path: str | Path, cube: DetailedCube) -> ExpectedLabels:
     """Read an expected-labels CSV: coordinate columns, `measure`, `label`."""
-    out = ExpectedLabels()
-    for anchor, measure, raw in _iter_expectation_rows(
-            path, cube, value_column=("label", "expected")):
-        out.register(anchor, measure, raw.strip())
-    return out
+    return _load_expectations(path, cube, ("label", "expected"), str.strip)
 
 
-def _iter_expectation_rows(path: str | Path, cube: DetailedCube,
-                           value_column: tuple[str, ...] = ("expected",)):
+def _load_expectations(path: str | Path, cube: DetailedCube,
+                       value_columns: tuple[str, ...], parse) -> ExpectedValues:
+    """Read an expectation CSV: a `measure` column, a value column (the
+    first of `value_columns` present) and at most one coordinate column per
+    dimension, named by level, in any order. Each coordinate column is
+    resolved once, to its dimension, level and label -> id memo; a
+    dimension without one is anchored at ALL. `parse` makes the stored
+    value from the value field; a `ValueError` from it and a row shorter
+    than the header raise `MalformedFactRow`, with rows counted as
+    `load_facts` counts them.
+    """
     path = Path(path)
+    out = ExpectedValues()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -325,22 +299,50 @@ def _iter_expectation_rows(path: str | Path, cube: DetailedCube,
         except StopIteration:
             raise EmptyFile(f"{path}: empty expectation file") from None
         lower = [h.lower() for h in header]
-        try:
-            m_col = lower.index("measure")
-        except ValueError:
-            raise UnknownMeasure(f"{path}: no `measure` column") from None
-        v_col = next((lower.index(c) for c in value_column if c in lower), None)
+        if "measure" not in lower:
+            raise UnknownMeasure(f"{path}: no `measure` column")
+        m_col = lower.index("measure")
+        v_col = next((lower.index(c) for c in value_columns if c in lower), None)
         if v_col is None:
             raise UnknownMeasure(
-                f"{path}: no value column (one of {value_column})")
-        coord_cols = [i for i in range(len(header)) if i not in (m_col, v_col)]
-        for row in reader:
-            if not row or not any(f.strip() for f in row):
+                f"{path}: no value column (one of {value_columns})")
+        at = [(None, None)] * len(cube.dims)  # per dimension: column, ids
+        for c, h in enumerate(header):
+            if c in (m_col, v_col):
                 continue
-            anchor = _anchor_from_columns(cube, header, row, coord_cols)
+            dim = cube.dim_with_level(h)
+            j = cube.dims.index(dim)
+            if at[j][0] is not None:
+                raise UnknownLevel(f"{path}: columns {header[at[j][0]]!r} and "
+                                   f"{h!r} both name levels of {dim.name}")
+            at[j] = c, _MemberIds(dim, dim.level(h))
+        measures: dict[str, int] = {}
+        for row_no, row in enumerate(reader, 2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < len(header):
+                raise MalformedFactRow(f"{path}: row {row_no}: {len(row)} "
+                                       f"fields, header has {len(header)}")
+            anchor = tuple((ALL_LEVEL, 0) if c is None else
+                           (ids.level.name, ids[row[c]]) for c, ids in at)
             measure = row[m_col].strip()
-            cube.measure_index(measure)  # validate
-            yield anchor, measure, row[v_col]
+            if measure not in measures:
+                measures[measure] = cube.measure_index(measure)
+            try:
+                value = parse(row[v_col])
+            except ValueError:
+                raise MalformedFactRow(f"{path}: row {row_no}: {header[v_col]} "
+                                       f"is not a number: {row[v_col]!r}") from None
+            out.register(anchor, measure, value)
+    return out
+
+
+def _lines(path: str | Path) -> Iterator[str]:
+    """The stripped lines of a text file, without blank and `#` lines."""
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 @dataclass
@@ -365,37 +367,26 @@ class SessionContext:
         comments)."""
         from . import qlang
 
-        path = Path(path)
-        sid = session_id or path.stem
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        sid = session_id or Path(path).stem
+        for line in _lines(path):
             self.history.append(qlang.parse_query(line, self.cube), session_id=sid)
 
     def load_belief_file(self, path: str | Path):
         from . import qlang
 
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line in _lines(path):
             self.beliefs.add(qlang.parse_belief(line, self.cube))
 
     def load_goal_file(self, path: str | Path):
         from . import qlang
 
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line in _lines(path):
             self.goals.append(qlang.parse_condition(line, self.cube))
 
-    def load_label_rules(self, path: str | Path, strict_coverage: bool = False):
+    def load_label_rules(self, path: str | Path):
         from . import qlang
 
-        schemes, domain = qlang.parse_label_rules(
-            Path(path).read_text(encoding="utf-8"), strict_coverage=strict_coverage)
+        schemes, domain = qlang.parse_label_rules(Path(path).read_text(encoding="utf-8"))
         self.labeling_schemes.update(schemes)
         if domain is not None:
             self.label_domain = domain

@@ -27,7 +27,7 @@ from .errors import (
     UnknownMeasure,
     UnknownMember,
 )
-from .mdm import ALL_LEVEL, Dimension, Member
+from .mdm import ALL_LEVEL, Dimension, Level, Member
 
 AGG_FUNCTIONS = ("sum", "avg", "count", "min", "max")
 
@@ -120,6 +120,14 @@ class DetailedCube:
 
     def dim(self, name: str) -> Dimension:
         return self.dims[self.dim_index(name)]
+
+    def dim_with_level(self, name: str) -> Dimension:
+        """The one dimension that has a level called `name`."""
+        hits = [d for d in self.dims if d.has_level(name)]
+        if len(hits) != 1:
+            raise UnknownLevel(f"level {name!r} is ambiguous across dimensions"
+                               if hits else f"no dimension has level {name!r}")
+        return hits[0]
 
     def measure_index(self, name: str) -> int:
         for i, m in enumerate(self.measures):
@@ -374,15 +382,16 @@ _CHUNK_ROWS = 4096
 
 
 class _MemberIds(dict):
-    """Raw label -> base-level member id, one `Dimension.member` lookup per
-    distinct raw label."""
+    """Raw label -> member id at one level (the base level by default), one
+    `Dimension.member` lookup per distinct raw label."""
 
-    def __init__(self, dim: Dimension):
+    def __init__(self, dim: Dimension, level: Level | None = None):
         super().__init__()
         self.dim = dim
+        self.level = level or dim.base_level
 
     def __missing__(self, label: str) -> int:
-        mid = self[label] = self.dim.member(self.dim.base_level, label.strip()).id
+        mid = self[label] = self.dim.member(self.level, label.strip()).id
         return mid
 
 

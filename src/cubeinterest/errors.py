@@ -42,8 +42,8 @@ class UnknownLevel(CubeInterestError):
 
 
 class MalformedFactRow(CubeInterestError):
-    """A fact row is shorter than the header or holds a measure that is not
-    a number."""
+    """A fact or expectation row is shorter than the header or holds a
+    measure or expected value that is not a number."""
 
 
 class DuplicateCoordinates(CubeInterestError):

@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     ProbabilityOutOfRange,
     UnknownIdentifier,
+    UnknownLevel,
 )
 from .mdm import ALL_LEVEL, Dimension
 
@@ -208,18 +209,11 @@ def _resolve_member(dim: Dimension, level: str, tok: Token) -> int:
             f"{dim.name}.{level} has no member {tok.text!r}", tok.pos) from None
 
 
-def _level_anywhere(cube: DetailedCube, tok: Token,
-                    dim: Dimension | None) -> tuple[Dimension, str]:
-    if dim is not None:
-        return dim, _resolve_level(dim, tok)
-    hits = [d for d in cube.dims if d.has_level(tok.text)]
-    if not hits:
-        raise UnknownIdentifier(f"no dimension has level {tok.text!r}", tok.pos)
-    if len(hits) > 1:
-        raise UnknownIdentifier(
-            f"level {tok.text!r} is ambiguous; qualify it with a dimension",
-            tok.pos)
-    return hits[0], hits[0].level(tok.text).name
+def _level_anywhere(cube: DetailedCube, tok: Token) -> Dimension:
+    try:
+        return cube.dim_with_level(tok.text)
+    except UnknownLevel as exc:
+        raise UnknownIdentifier(str(exc), tok.pos) from None
 
 
 # --- queries and conditions -----------------------------------------------------
@@ -326,14 +320,13 @@ def parse_belief(text: str, cube: DetailedCube) -> BeliefStatement:
     anchor_parts: dict[str, tuple[str, int]] = {}
     if p.accept("|"):
         while True:
-            dim_tok = p.expect("word", expected="level name")
-            dim = None
+            dim_tok = level_tok = p.expect("word", expected="level name")
             if p.accept("."):
                 dim = _resolve_dim(cube, dim_tok)
                 level_tok = p.expect("word", expected="level name")
             else:
-                level_tok = dim_tok
-            dim, level = _level_anywhere(cube, level_tok, dim)
+                dim = _level_anywhere(cube, level_tok)
+            level = _resolve_level(dim, level_tok)
             p.expect("=")
             member = _resolve_member(dim, level, p.literal())
             if dim.name in anchor_parts:

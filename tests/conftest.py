@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 import oracles
-from cubeinterest.context import SessionContext, load_expected_values
+from cubeinterest.context import (
+    SessionContext,
+    load_expected_labels,
+    load_expected_values,
+)
 from cubeinterest.engine import (
     AtomicFilter,
     CubeQuery,
@@ -24,6 +28,7 @@ from cubeinterest.engine import (
     SelectionCondition,
     load_facts,
 )
+from cubeinterest.errors import CubeInterestError
 from cubeinterest.mdm import dimension_from_rows, load_dimension
 from cubeinterest import qlang
 
@@ -228,3 +233,65 @@ def cellset_to_labels(cells) -> dict[tuple[str, ...], dict[str, float]]:
         key = cells.labels_row(i)
         out[key] = {name: float(col[i]) for name, col in cells.measures.items()}
     return out
+
+
+# --- expectation files ------------------------------------------------------------
+
+def write_expectation_file(path: Path, inst: Instance, rnd: random.Random,
+                           flaw_rate: float = 0.0) -> Path:
+    """A random expectation CSV over the instance's cube: a coordinate column
+    for some dimensions, `measure` and `expected` in shuffled order, with
+    stray whitespace, header case changes and blank rows. Each choice turns
+    into a flaw with probability `flaw_rate`: a header naming no level,
+    `ALL` (a level of every dimension), a second level of one dimension or
+    `label` for `expected`, a short row, or an unknown label, measure or
+    number."""
+    def flaw() -> bool:
+        return rnd.random() < flaw_rate
+
+    def pad(text: str) -> str:
+        return rnd.choice(["", " ", "\t"]) + text + rnd.choice(["", "  "])
+
+    cols = []  # (header, field maker)
+    for d in inst.ocube.dims:
+        for _ in range(1 + flaw()):
+            if rnd.random() < 0.7:
+                lv = rnd.choice(d.levels[:-1])
+                cols.append((lv, lambda d=d, lv=lv: rnd.choice(d.members[lv])))
+    if flaw():
+        cols.append((rnd.choice(["Nowhere", "ALL"]), lambda: "all"))
+    cols.append(("measure", lambda: "Qty" if flaw() else rnd.choice(["Amt", "amt"])))
+    cols.append(("label" if flaw() else "expected",
+                 lambda: rnd.choice(["ten", "1.2.3", ""]) if flaw()
+                 else repr(round(rnd.uniform(-1e3, 1e3), 2))))
+    rnd.shuffle(cols)
+    lines = [",".join(pad(h.upper() if rnd.random() < 0.2 else h)
+                      for h, _ in cols)]
+    for _ in range(rnd.randint(0, 8)):
+        if rnd.random() < 0.15:
+            lines.append(rnd.choice(["", " ", " ,\t"]))
+            continue
+        fields = [pad("zzz" if flaw() else make()) for _, make in cols]
+        lines.append(",".join(fields[:rnd.randrange(len(fields))] if flaw()
+                              else fields))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def check_expectation_loaders(path: Path, inst: Instance):
+    """Each expectation loader returns the reference's store, with anchors
+    as labels, or raises a CubeInterestError where the reference rejects
+    the file."""
+    for loader, columns, parse in (
+            (load_expected_values, ("expected",), float),
+            (load_expected_labels, ("label", "expected"), str.strip)):
+        try:
+            want = oracles.load_expectations(path, inst.ocube, columns, parse)
+        except oracles.BadExpectationFile:
+            with pytest.raises(CubeInterestError):
+                loader(path, inst.cube)
+            continue
+        got = loader(path, inst.cube)
+        assert {tuple((lv, d.label_of(lv, i))
+                      for d, (lv, i) in zip(inst.cube.dims, anchor)): values
+                for anchor, values in got.items()} == want

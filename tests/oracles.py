@@ -8,6 +8,7 @@ computation routes.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import statistics
@@ -520,3 +521,58 @@ def cube_prob_label_surprise(cells, beliefs, rules, order, cell_agg, cube_agg):
                 for label, p in stmts if label != actual))
         per_cell.append(scores)
     return _cube_score(per_cell, cell_agg, cube_agg)
+
+
+# --- expectation files --------------------------------------------------------------
+
+class BadExpectationFile(Exception):
+    pass
+
+
+def load_expectations(path, cube: OCube, value_columns: tuple[str, ...],
+                      parse) -> dict[tuple[tuple[str, str], ...], dict]:
+    """Plain-`csv` reading of an expectation file: {anchor: {measure: value}}
+    with one (level, label) pair per cube dimension, (ALL, all) where no
+    column names a level of it. Raises BadExpectationFile for a file the
+    loaders must reject."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise BadExpectationFile("no header")
+    header = [h.strip().lower() for h in rows[0]]
+    names = [c for c in ("measure",) + tuple(value_columns) if c in header]
+    if "measure" not in names or len(names) < 2:
+        raise BadExpectationFile("no measure or value column")
+    m_col, v_col = header.index("measure"), header.index(names[1])
+    at: dict[int, tuple[int, str]] = {}  # dimension position -> column, level
+    for c, h in enumerate(header):
+        if c in (m_col, v_col):
+            continue
+        owners = [(j, lv) for j, d in enumerate(cube.dims)
+                  for lv in d.levels if lv.lower() == h]
+        if len(owners) != 1 or owners[0][0] in at:
+            raise BadExpectationFile(f"column {h!r}")
+        at[owners[0][0]] = (c, owners[0][1])
+    measures = {m.lower() for m in cube.measures}
+    out: dict = {}
+    for row in rows[1:]:
+        if all(not f.strip() for f in row):
+            continue
+        if len(row) < len(header):
+            raise BadExpectationFile("short row")
+        anchor = []
+        for j, d in enumerate(cube.dims):
+            c, lv = at.get(j, (None, ALL_LEVEL))
+            label = ALL_MEMBER if c is None else row[c].strip()
+            if label not in d.members[lv]:
+                raise BadExpectationFile(f"label {label!r}")
+            anchor.append((lv, label))
+        measure = row[m_col].strip()
+        if measure.lower() not in measures:
+            raise BadExpectationFile(f"measure {measure!r}")
+        try:
+            value = parse(row[v_col])
+        except ValueError:
+            raise BadExpectationFile(f"value {row[v_col]!r}") from None
+        out.setdefault(tuple(anchor), {})[measure] = value
+    return out

@@ -1,6 +1,14 @@
+import random
+
+import numpy as np
 import pytest
 
-from conftest import PKDD
+from conftest import (
+    PKDD,
+    build_instance,
+    check_expectation_loaders,
+    write_expectation_file,
+)
 from cubeinterest.context import (
     BeliefStore,
     QueryHistory,
@@ -11,9 +19,18 @@ from cubeinterest.context import (
     load_expected_labels,
     load_expected_values,
 )
-from cubeinterest.engine import CellSet, evaluate
-from cubeinterest.errors import EmptyFile, HistoryConsistencyError
+from cubeinterest.cli import main
+from cubeinterest.engine import CellSet, DetailedCube, evaluate
+from cubeinterest.errors import (
+    EmptyFile,
+    HistoryConsistencyError,
+    MalformedFactRow,
+    UnknownLevel,
+    UnknownMeasure,
+    UnknownMember,
+)
 from cubeinterest.harness import generate_star_data
+from cubeinterest.mdm import dimension_from_rows
 from cubeinterest import qlang
 
 
@@ -176,6 +193,89 @@ def test_empty_expectation_file(tmp_path, pkdd_cube, loader):
     path.write_text("")
     with pytest.raises(EmptyFile, match="expected.csv"):
         loader(path, pkdd_cube)
+
+
+def _expectations(tmp_path, header, *rows):
+    path = tmp_path / "expected.csv"
+    path.write_text("\n".join((header,) + rows) + "\n")
+    return path
+
+
+def test_short_expectation_row_is_malformed(tmp_path, pkdd_cube):
+    path = _expectations(tmp_path, "District,Month,measure,expected",
+                         "Olomouc,1996-09,Amt,20048", "", "Olomouc,1996-10,Amt")
+    with pytest.raises(MalformedFactRow,
+                       match=r"expected\.csv: row 4: 3 fields, header has 4"):
+        load_expected_values(path, pkdd_cube)
+
+
+def test_non_numeric_expected_value_is_malformed(tmp_path, pkdd_cube):
+    path = _expectations(tmp_path, "District,Month,measure,expected",
+                         "Olomouc,1996-09,Amt,20048", "Olomouc,1996-10,Amt,ten")
+    with pytest.raises(MalformedFactRow,
+                       match=r"expected\.csv: row 3: expected is not a number: 'ten'"):
+        load_expected_values(path, pkdd_cube)
+
+
+def test_cli_reports_malformed_expectations(tmp_path, capsys):
+    path = _expectations(tmp_path, "District,Month,measure,expected",
+                         "Olomouc,1996-09,Amt,ten")
+    rc = main([
+        "assess",
+        "--schema", str(PKDD / "schema"),
+        "--facts", str(PKDD / "facts.csv"),
+        "--history", str(PKDD / "session.txt"),
+        "--expected", str(path),
+        "--query", (PKDD / "query.txt").read_text().strip(),
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 2" in err
+
+
+@pytest.mark.parametrize("header, row, error", [
+    # two levels of one dimension (the District column used to be dropped)
+    ("District,Region,Month,measure,expected", "Olomouc,Moravia,1996-09,Amt,1",
+     UnknownLevel),
+    ("Branch,Month,measure,expected", "b1,1996-09,Amt,1", UnknownLevel),
+    ("District,Month,expected", "Olomouc,1996-09,1", UnknownMeasure),
+])
+@pytest.mark.parametrize("with_row", [True, False])
+@pytest.mark.parametrize("loader", [load_expected_values, load_expected_labels])
+def test_bad_expectation_header_raises(tmp_path, pkdd_cube, loader, with_row,
+                                       header, row, error):
+    path = _expectations(tmp_path, header, *[row] * with_row)
+    with pytest.raises(error):
+        loader(path, pkdd_cube)
+
+
+@pytest.mark.parametrize("row, error", [
+    ("Olomouc,1996-09,Qty,1", UnknownMeasure),
+    ("Atlantis,1996-09,Amt,1", UnknownMember),
+])
+def test_bad_expectation_row_raises(tmp_path, pkdd_cube, row, error):
+    path = _expectations(tmp_path, "District,Month,measure,expected", row)
+    with pytest.raises(error):
+        load_expected_values(path, pkdd_cube)
+
+
+def test_level_of_two_dimensions_is_ambiguous(tmp_path):
+    shop = dimension_from_rows("Shop", ["Shop", "City"], [("s1", "Rome")])
+    client = dimension_from_rows("Client", ["Client", "City"], [("c1", "Oslo")])
+    cube = DetailedCube((shop, client), ("Amt",), np.zeros((1, 2)), np.ones((1, 1)))
+    path = _expectations(tmp_path, "City,measure,expected", "Rome,Amt,1")
+    with pytest.raises(UnknownLevel, match="ambiguous"):
+        load_expected_values(path, cube)
+    assert len(load_expected_values(
+        _expectations(tmp_path, "Shop,measure,expected", "s1,Amt,1"), cube)) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_expectation_loaders_match_reference(tmp_path, seed):
+    inst = build_instance(seed, n_queries=1, max_rows=30)
+    check_expectation_loaders(write_expectation_file(
+        tmp_path / "expected.csv", inst, random.Random(seed)), inst)
 
 
 def test_session_context_loaders(pkdd_cube):

@@ -4,11 +4,18 @@ Each @given example counts as one generated case; the per-test example
 counts are sized so the module generates well over a thousand cases.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_instance
+from conftest import (
+    build_instance,
+    check_expectation_loaders,
+    write_expectation_file,
+)
 from cubeinterest.context import BeliefStatement, BeliefStore, known_cells
 from cubeinterest.engine import (
     condition_signature,
@@ -266,3 +273,18 @@ def test_label_domain_distance_axioms(labels):
     nominal = LabelDomain(tuple(labels), "nominal")
     with pytest.raises(NominalLooseUnsupported):
         nominal.distance(labels[0], labels[0])
+
+
+# --- expectation loaders --------------------------------------------------------------
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(seeds, st.randoms(use_true_random=False),
+       st.sampled_from([0.0, 0.05, 0.2]))
+def test_expectation_loaders_return_reference_or_raise(seed, rnd, flaw_rate):
+    """Flawed files raise a CubeInterestError; any other file loads as the
+    plain-csv reference reads it."""
+    inst = small(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_expectation_file(Path(tmp) / "expected.csv", inst, rnd,
+                                      flaw_rate)
+        check_expectation_loaders(path, inst)

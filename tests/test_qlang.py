@@ -226,6 +226,14 @@ def test_unknown_identifiers_positioned(pkdd_cube, text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("anchor", ["Quarter=Q1", "ALL=all"])
+def test_belief_anchor_level_names_one_dimension(pkdd_cube, anchor):
+    text = f"P(Amt IN [1..2) | {anchor}) = 0.5"
+    with pytest.raises(UnknownIdentifier) as err:
+        qlang.parse_belief(text, pkdd_cube)
+    assert err.value.position == text.index(anchor)
+
+
 def test_unresolved_member_is_error_not_empty_filter(pkdd_cube):
     with pytest.raises(UnknownIdentifier):
         qlang.parse_condition("Account.District IN {Atlantis}", pkdd_cube)
