@@ -39,6 +39,7 @@ from .errors import (
     MalformedFactRow,
     UnknownLevel,
     UnknownMeasure,
+    UnknownMember,
 )
 from .mdm import ALL_LEVEL, Dimension
 
@@ -283,12 +284,12 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
                        value_columns: tuple[str, ...], parse) -> ExpectedValues:
     """Read an expectation CSV: a `measure` column, a value column (the
     first of `value_columns` present) and at most one coordinate column per
-    dimension, named by level, in any order. Each coordinate column is
-    resolved once, to its dimension, level and label -> id memo; a
-    dimension without one is anchored at ALL. `parse` makes the stored
-    value from the value field; a `ValueError` from it and a row shorter
-    than the header raise `MalformedFactRow`, with rows counted as
-    `load_facts` counts them.
+    dimension, named by level, in any order (never `label` or `expected`).
+    Each coordinate column is resolved once, to its dimension, level and
+    label -> id memo; a dimension without one is anchored at ALL. `parse`
+    makes the stored value from the value field; a `ValueError` from it and
+    a row shorter than the header raise `MalformedFactRow`. Errors past the
+    header's read name the file and the row, counted as `load_facts` does.
     """
     path = Path(path)
     out = ExpectedValues()
@@ -299,41 +300,44 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
         except StopIteration:
             raise EmptyFile(f"{path}: empty expectation file") from None
         lower = [h.lower() for h in header]
-        if "measure" not in lower:
-            raise UnknownMeasure(f"{path}: no `measure` column")
-        m_col = lower.index("measure")
-        v_col = next((lower.index(c) for c in value_columns if c in lower), None)
-        if v_col is None:
-            raise UnknownMeasure(
-                f"{path}: no value column (one of {value_columns})")
         at = [(None, None)] * len(cube.dims)  # per dimension: column, ids
-        for c, h in enumerate(header):
-            if c in (m_col, v_col):
-                continue
-            dim = cube.dim_with_level(h)
-            j = cube.dims.index(dim)
-            if at[j][0] is not None:
-                raise UnknownLevel(f"{path}: columns {header[at[j][0]]!r} and "
-                                   f"{h!r} both name levels of {dim.name}")
-            at[j] = c, _MemberIds(dim, dim.level(h))
         measures: dict[str, int] = {}
-        for row_no, row in enumerate(reader, 2):
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) < len(header):
-                raise MalformedFactRow(f"{path}: row {row_no}: {len(row)} "
-                                       f"fields, header has {len(header)}")
-            anchor = tuple((ALL_LEVEL, 0) if c is None else
-                           (ids.level.name, ids[row[c]]) for c, ids in at)
-            measure = row[m_col].strip()
-            if measure not in measures:
-                measures[measure] = cube.measure_index(measure)
-            try:
-                value = parse(row[v_col])
-            except ValueError:
-                raise MalformedFactRow(f"{path}: row {row_no}: {header[v_col]} "
-                                       f"is not a number: {row[v_col]!r}") from None
-            out.register(anchor, measure, value)
+        row_no = 1
+        try:
+            if "measure" not in lower:
+                raise UnknownMeasure("no `measure` column")
+            m_col = lower.index("measure")
+            v_col = next((lower.index(c) for c in value_columns if c in lower), None)
+            if v_col is None:
+                raise UnknownMeasure(f"no value column (one of {value_columns})")
+            for c, h in enumerate(header):
+                if c == m_col or lower[c] in ("label", "expected"):
+                    continue
+                dim = cube.dim_with_level(h)
+                j = cube.dims.index(dim)
+                if at[j][0] is not None:
+                    raise UnknownLevel(f"columns {header[at[j][0]]!r} and {h!r} "
+                                       f"both name levels of {dim.name}")
+                at[j] = c, _MemberIds(dim, dim.level(h))
+            for row_no, row in enumerate(reader, 2):
+                if not any(map(str.strip, row)):
+                    continue
+                if len(row) < len(header):
+                    raise MalformedFactRow(
+                        f"{len(row)} fields, header has {len(header)}")
+                anchor = tuple((ALL_LEVEL, 0) if c is None else
+                               (ids.level.name, ids[row[c]]) for c, ids in at)
+                measure = row[m_col].strip()
+                if measure not in measures:
+                    measures[measure] = cube.measure_index(measure)
+                try:
+                    value = parse(row[v_col])
+                except ValueError:
+                    raise MalformedFactRow(f"{header[v_col]} is not a number: "
+                                           f"{row[v_col]!r}") from None
+                out.register(anchor, measure, value)
+        except (MalformedFactRow, UnknownLevel, UnknownMeasure, UnknownMember) as exc:
+            raise type(exc)(f"{path}: row {row_no}: {exc}") from None
     return out
 
 

@@ -396,11 +396,11 @@ class _MemberIds(dict):
 
 
 def _malformed(path: Path, first: int, raw: list[list[str]], row: list[str],
-               what: str) -> MalformedFactRow:
-    """Name `row` by its number in the file; `raw` is its chunk as read,
-    starting at row number `first`."""
+               what: str, kind: type = MalformedFactRow) -> Exception:
+    """A `kind` error naming `row` by its number in the file; `raw` is its
+    chunk as read, starting at row number `first`."""
     k = next(k for k, r in enumerate(raw) if r is row)
-    return MalformedFactRow(f"{path}: row {first + k}: {what}")
+    return kind(f"{path}: row {first + k}: {what}")
 
 
 def _is_number(text: str) -> bool:
@@ -424,10 +424,10 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
     Raises `EmptyFile` when the file has no header, `DimensionMismatch` when
     no header column names a base level, `UnknownMeasure` when no column is
     left for measures, `MalformedFactRow` when a row is shorter than the
-    header or a measure is not a number (rows counted from the header as
-    row 1, blank rows included), `UnknownMember` for a label its dimension's
-    base level lacks, and `DuplicateCoordinates` when two rows share a
-    coordinate tuple.
+    header or a measure is not a number and `UnknownMember` for a label its
+    dimension's base level lacks, both naming the row (counted from the
+    header as row 1, blank rows included), and `DuplicateCoordinates` when
+    two rows share a coordinate tuple.
     """
     path = Path(path)
     by_base = {d.base_level.name.lower(): d for d in dimensions}
@@ -460,13 +460,19 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
                                  f"header has {len(header)}")
             n = len(chunk)
             cols = list(zip(*chunk))
-            coord_parts.append(np.stack(
-                [np.fromiter(map(m.__getitem__, cols[c]), np.int32, count=n)
-                 for m, c in zip(ids, dim_cols)], axis=1))
             try:
+                coord_parts.append(np.stack(
+                    [np.fromiter(map(m.__getitem__, cols[c]), np.int32, count=n)
+                     for m, c in zip(ids, dim_cols)], axis=1))
                 value_parts.append(np.stack(
                     [np.fromiter(map(float, cols[c]), np.float64, count=n)
                      for c in measure_cols], axis=1))
+            except UnknownMember as exc:
+                # columns are read in turn: the first label its memo lacks failed
+                row = next(r for m, c in zip(ids, dim_cols) for r in chunk
+                           if r[c] not in m)
+                raise _malformed(path, first, raw, row, str(exc),
+                                 UnknownMember) from None
             except ValueError:
                 row, c = next((r, c) for r in chunk for c in measure_cols
                               if not _is_number(r[c]))

@@ -6,8 +6,8 @@ closest-relative and Hausdorff, built on the hierarchy hop-count cell
 distance), and Jaccard distance over detailed areas with k-NN selection.
 The cell distance depends only on the per-dimension depths of the cells'
 least common ancestors (LCA), so cells are never paired up: both sets are
-rolled up to each LCA-depth profile and matched as packed keys, both ways.
-One such walk per pair of results gives both value scores.
+rolled up to each LCA-depth profile and matched as packed keys, both ways,
+by one sorted probe. One such walk per pair of results gives both scores.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ def syntactic_peculiarity(q: CubeQuery, collection: Sequence[CubeQuery],
 # --- value-based distances ----------------------------------------------------
 
 def _profiles(a: CellSet, b: CellSet):
-    """Yield (distance, keys of a, keys of b) per LCA-depth profile. Two
-    cells whose keys match meet at or below the profile, so their distance
-    is at most its distance, with equality at their own LCA profile."""
+    """Yield (distance, depths) per LCA-depth profile. Two cells whose keys
+    at `depths` match meet at or below the profile, so their distance is at
+    most its distance, with equality at their own LCA profile."""
     if a.dims != b.dims:
         raise SchemaMismatch("cell sets are over different dimensions")
     if a.size == 0 or b.size == 0:
@@ -165,7 +165,7 @@ def _profiles(a: CellSet, b: CellSet):
         total = 0.0
         for d, da, db, dl in zip(a.dims, own_a, own_b, depths):
             total += ((dl - da) + (dl - db)) / (2.0 * d.height)
-        yield total / len(a.dims), a.rollup_keys(depths), b.rollup_keys(depths)
+        yield total / len(a.dims), depths
 
 
 def nearest_cell_distances(a: CellSet, b: CellSet
@@ -173,10 +173,24 @@ def nearest_cell_distances(a: CellSet, b: CellSet
     """Nearest-cell distances of `a` to `b` and of `b` to `a`, from one walk
     over the profiles: per cell, the least distance of a profile at which
     its key appears among the other set's."""
+    return _nearest(a, b, {})
+
+
+def _nearest(a: CellSet, b: CellSet, rolled_b: dict):
+    """`nearest_cell_distances`, memoising b's (sorted unique keys, inverse)
+    per depth tuple in `rolled_b`. One binary-search probe of a's keys gives
+    a's hits, and the unique keys hit, read through the inverse, give b's."""
     a_to_b, b_to_a = np.full(a.size, np.inf), np.full(b.size, np.inf)
-    for dist, keys_a, keys_b in _profiles(a, b):
-        np.putmask(a_to_b, np.isin(keys_a, keys_b) & (a_to_b > dist), dist)
-        np.putmask(b_to_a, np.isin(keys_b, keys_a) & (b_to_a > dist), dist)
+    for dist, depths in _profiles(a, b):
+        if depths not in rolled_b:
+            rolled_b[depths] = np.unique(b.rollup_keys(depths), return_inverse=True)
+        uniq, inverse = rolled_b[depths]
+        keys = a.rollup_keys(depths)
+        pos = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
+        hit = uniq[pos] == keys
+        np.putmask(a_to_b, hit & (a_to_b > dist), dist)
+        seen = np.bincount(pos[hit], minlength=len(uniq)) > 0
+        np.putmask(b_to_a, seen[inverse] & (b_to_a > dist), dist)
     return a_to_b, b_to_a
 
 
@@ -187,9 +201,9 @@ def pairwise_cell_distances(a: CellSet, b: CellSet) -> np.ndarray:
         raise PairLimitExceeded(
             f"{a.size}x{b.size} cell pairs exceed the cap of {PAIR_CAP}")
     out = np.full((a.size, b.size), np.inf)
-    for dist, keys_a, keys_b in _profiles(a, b):
-        np.minimum(out, np.where(keys_a[:, None] == keys_b, dist, np.inf),
-                   out=out)
+    for dist, depths in _profiles(a, b):
+        hit = a.rollup_keys(depths)[:, None] == b.rollup_keys(depths)
+        np.minimum(out, np.where(hit, dist, np.inf), out=out)
     return out
 
 
@@ -220,7 +234,8 @@ def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
                       ) -> tuple[float, float] | None:
     """Aggregate result-cell distances of q to a query collection, as the
     pair (closest-relative directed from each member towards q, Hausdorff),
-    both from one profile walk per member (`nearest_cell_distances`).
+    both from one profile walk per member (`nearest_cell_distances`). The
+    walks share q's keys, rolled up once per depth tuple for this call only.
 
     Results are read from entries, and a bare query is evaluated once. A
     cell distance needs cells on both sides, so a member with an empty
@@ -234,9 +249,9 @@ def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
                if r.size]
     if not mine.size or not results:
         return None
-    closest, hausdorff = [], []
+    closest, hausdorff, rolled = [], [], {}
     for r in results:
-        rq, qr = nearest_cell_distances(r, mine)
+        rq, qr = _nearest(r, mine, rolled)
         closest.append(float(rq.mean()))
         hausdorff.append(max(float(rq.max()), float(qr.max())))
     return agg.apply(closest), agg.apply(hausdorff)

@@ -546,7 +546,7 @@ def load_expectations(path, cube: OCube, value_columns: tuple[str, ...],
     m_col, v_col = header.index("measure"), header.index(names[1])
     at: dict[int, tuple[int, str]] = {}  # dimension position -> column, level
     for c, h in enumerate(header):
-        if c in (m_col, v_col):
+        if c == m_col or h in ("label", "expected"):
             continue
         owners = [(j, lv) for j, d in enumerate(cube.dims)
                   for lv in d.levels if lv.lower() == h]

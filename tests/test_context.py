@@ -260,6 +260,54 @@ def test_bad_expectation_row_raises(tmp_path, pkdd_cube, row, error):
         load_expected_values(path, pkdd_cube)
 
 
+def test_expectation_file_with_both_value_columns(tmp_path, pkdd_cube):
+    """Each loader reads its own value column and takes the other for
+    neither a coordinate nor a value."""
+    path = _expectations(tmp_path, "District,Month,measure,label,expected",
+                         "Olomouc,1996-09,Amt,High,20048")
+    account, date = pkdd_cube.dim("Account"), pkdd_cube.dim("Date")
+    anchor = (("District", account.member("District", "Olomouc").id), ("ALL", 0),
+              ("Month", date.member("Month", "1996-09").id))
+    assert load_expected_values(path, pkdd_cube).lookup(anchor) == {"Amt": 20048.0}
+    assert load_expected_labels(path, pkdd_cube).lookup(anchor) == {"Amt": "High"}
+
+
+@pytest.mark.parametrize("header, rows, error, where", [
+    ("District,Month,measure,expected",
+     ["Olomouc,1996-09,Amt,1", "", "Atlantis,1996-09,Amt,1"],
+     UnknownMember, r"row 4: Account\.District has no member 'Atlantis'"),
+    ("District,Month,measure,expected", ["Olomouc,1996-09,Qty,1"],
+     UnknownMeasure, r"row 2: cube has no measure 'Qty'"),
+    ("Branch,Month,measure,expected", ["b1,1996-09,Amt,1"],
+     UnknownLevel, r"row 1: no dimension has level 'Branch'"),
+    ("District,Region,measure,expected", [],
+     UnknownLevel, r"row 1: columns 'District' and 'Region' both name levels"),
+])
+@pytest.mark.parametrize("loader", [load_expected_values, load_expected_labels])
+def test_expectation_schema_errors_name_file_and_row(tmp_path, pkdd_cube, loader,
+                                                     header, rows, error, where):
+    path = _expectations(tmp_path, header, *rows)
+    with pytest.raises(error, match=r"expected\.csv: " + where):
+        loader(path, pkdd_cube)
+
+
+def test_cli_names_the_row_of_an_unknown_label(tmp_path, capsys):
+    path = _expectations(tmp_path, "District,Month,measure,expected",
+                         "Olomouc,1996-09,Amt,1", "Atlantis,1996-09,Amt,1")
+    rc = main([
+        "assess",
+        "--schema", str(PKDD / "schema"),
+        "--facts", str(PKDD / "facts.csv"),
+        "--history", str(PKDD / "session.txt"),
+        "--expected", str(path),
+        "--query", (PKDD / "query.txt").read_text().strip(),
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: row 3: ") and "'Atlantis'" in err
+
+
 def test_level_of_two_dimensions_is_ambiguous(tmp_path):
     shop = dimension_from_rows("Shop", ["Shop", "City"], [("s1", "Rome")])
     client = dimension_from_rows("Client", ["Client", "City"], [("c1", "Oslo")])

@@ -6,7 +6,7 @@ import pytest
 from conftest import PKDD
 from cubeinterest.cli import main
 from cubeinterest.context import HistoryEntry, SessionContext
-from cubeinterest.engine import detailed_area_keys, evaluate
+from cubeinterest.engine import CellSet, detailed_area_keys, evaluate
 from cubeinterest.errors import EmptyResult
 from cubeinterest.harness import (
     AssessConfig,
@@ -360,6 +360,31 @@ def test_one_profile_walk_per_history_result(monkeypatch, star_cube):
     interestingness_vector(q, ctx)
     nonempty = [e for e in ctx.history.entries if e.result_cells.size]
     assert len(walks) == len(nonempty) == len(ctx.history) - 1
+
+
+def test_query_result_rolled_once_per_depth_tuple(monkeypatch, star_cube):
+    """One value-peculiarity call rolls q's result up at most once per
+    distinct depth tuple, however many members' profiles share it, and
+    scores as one plain `nearest_cell_distances` call per member does."""
+    ctx, q = _star_session(star_cube)
+    mine, entries = HistoryEntry(q), ctx.history.entries
+    results = [e.result_cells for e in entries]
+    assert len({r.levels for r in results}) >= 3
+    plain = [peculiarity.nearest_cell_distances(r, mine.result_cells)
+             for r in results]
+    rolled = []
+    orig = CellSet.rollup_keys
+
+    def counted(self, depths):
+        if self is mine.result_cells:
+            rolled.append(tuple(depths))
+        return orig(self, depths)
+
+    monkeypatch.setattr(CellSet, "rollup_keys", counted)
+    got = peculiarity.value_peculiarity(mine, entries)
+    assert rolled and len(rolled) == len(set(rolled))
+    assert got == (sum(rq.mean() for rq, _ in plain) / len(plain),
+                   sum(max(rq.max(), qr.max()) for rq, qr in plain) / len(plain))
 
 
 def test_plain_calls_keep_no_memo(monkeypatch, star_cube):

@@ -6,7 +6,11 @@ import pytest
 from cubeinterest import engine
 from cubeinterest.cli import main
 from cubeinterest.engine import load_facts
-from cubeinterest.errors import DuplicateCoordinates, MalformedFactRow
+from cubeinterest.errors import (
+    DuplicateCoordinates,
+    MalformedFactRow,
+    UnknownMember,
+)
 from cubeinterest.harness import generate_star, generate_star_data
 from cubeinterest.mdm import Dimension, load_dimension
 
@@ -120,6 +124,28 @@ def test_non_numeric_measure_is_malformed(star, tmp_path):
     ])
     with pytest.raises(MalformedFactRow,
                        match=r"facts\.csv: row 3: measure Amt .*'ten'"):
+        load_facts(path, dims)
+
+
+@pytest.mark.parametrize("bad, row_no, what", [
+    ("A9999,A,1996-01-05,10", 6, r"Account\.Account has no member 'A9999'"),
+    ("A0005,Z,1996-01-05,10", 6, r"Status\.Status has no member 'Z'"),
+])
+def test_unknown_label_names_file_and_row(star, tmp_path, monkeypatch,
+                                          bad, row_no, what):
+    """The row is found in a later chunk, blank rows counted, whichever
+    column holds the unknown label."""
+    _, dims = star
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 3)
+    path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
+        "A0001,A,1996-01-01,10",
+        "",
+        "A0002,A,1996-01-02,10",
+        "A0003,A,1996-01-03,10",
+        bad,
+        "A0006,A,1996-01-06,10",
+    ])
+    with pytest.raises(UnknownMember, match=rf"facts\.csv: row {row_no}: {what}"):
         load_facts(path, dims)
 
 

@@ -16,8 +16,15 @@ from conftest import (
     check_expectation_loaders,
     write_expectation_file,
 )
-from cubeinterest.context import BeliefStatement, BeliefStore, known_cells
+from cubeinterest.context import (
+    BeliefStatement,
+    BeliefStore,
+    HistoryEntry,
+    known_cells,
+)
 from cubeinterest.engine import (
+    CellSet,
+    cell_distance,
     condition_signature,
     evaluate,
     query_signature_factored,
@@ -32,6 +39,7 @@ from cubeinterest.peculiarity import (
     nearest_cell_distances,
     query_distance,
     syntactic_peculiarity,
+    value_peculiarity,
 )
 from cubeinterest.relevance import detailed_relevance, gbdsr
 from cubeinterest.surprise import LabelDomain
@@ -111,6 +119,54 @@ def test_result_distance_axioms(seed):
         b_to_a_swapped, a_to_b_swapped = nearest_cell_distances(b, a)
         assert np.array_equal(a_to_b, a_to_b_swapped)
         assert np.array_equal(b_to_a, b_to_a_swapped)
+
+
+def _cell_set(data, dims) -> CellSet:
+    """A random non-empty cell set: per dimension a level (ALL included)
+    and the members at it below one random ancestor, so that many cells
+    share ancestors and their rolled-up keys repeat."""
+    levels, pools = [], []
+    for d in dims:
+        lo = data.draw(st.integers(0, d.height))
+        up = data.draw(st.integers(lo, d.height))
+        amap = d.ancestor_map(lo, up)
+        top = data.draw(st.sampled_from(sorted(set(amap.tolist()))))
+        levels.append(d.levels[lo].name)
+        pools.append(np.flatnonzero(amap == top).tolist())
+    coords = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                                min_size=1, max_size=12, unique=True))
+    return CellSet(dims, tuple(levels), np.array(coords))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(seeds, st.data())
+def test_nearest_cell_distances_match_cell_pairs(seed, data):
+    dims = small(seed, n_queries=1).cube.dims
+    a, b = _cell_set(data, dims), _cell_set(data, dims)
+    matrix = np.array([[cell_distance(dims, ca, cb) for cb in b.iter_cells()]
+                       for ca in a.iter_cells()])
+    a_to_b, b_to_a = nearest_cell_distances(a, b)
+    assert np.array_equal(a_to_b, matrix.min(axis=1))
+    assert np.array_equal(b_to_a, matrix.min(axis=0))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(seeds, st.data(), st.sampled_from(["min", "max", "average", "median"]))
+def test_value_peculiarity_aggregates_plain_pair_walks(seed, data, kind):
+    """The walks of one call share q's rolled-up keys and still score as
+    one plain `nearest_cell_distances` call per member."""
+    inst = small(seed, n_queries=1)
+    dims = inst.cube.dims
+    mine = _cell_set(data, dims)
+    members = [_cell_set(data, dims) for _ in range(data.draw(st.integers(1, 5)))]
+    pairs = [nearest_cell_distances(r, mine) for r in members]
+    agg = AggregationSpec(kind)
+    # each entry's supplied result stands for its query's
+    got = value_peculiarity(HistoryEntry(inst.q, mine),
+                            [HistoryEntry(inst.q, r) for r in members], agg)
+    assert got == (agg.apply([float(rq.mean()) for rq, _ in pairs]),
+                   agg.apply([max(float(rq.max()), float(qr.max()))
+                              for rq, qr in pairs]))
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
