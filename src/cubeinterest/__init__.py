@@ -31,7 +31,6 @@ from .engine import (
     detailed_proxy,
     evaluate,
     load_facts,
-    query_signature,
 )
 from .harness import (
     AssessConfig,
@@ -80,6 +79,5 @@ __all__ = [
     "known_cells",
     "load_dimension",
     "load_facts",
-    "query_signature",
     "run_benchmark",
 ]

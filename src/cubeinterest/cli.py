@@ -94,6 +94,8 @@ def _load_context(args) -> tuple[SessionContext, object]:
 def _assess(args) -> int:
     if not 0.0 <= args.pi <= 1.0:
         raise CubeInterestError(f"--pi {args.pi} outside [0,1]")
+    if args.k < 1:
+        raise CubeInterestError(f"--k {args.k} is below 1")
     weights = DistanceWeights()
     if args.weights:
         try:

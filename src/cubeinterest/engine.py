@@ -1,10 +1,11 @@
 """Fact cube storage, query evaluation, signatures and detailed areas.
 
-The detailed cube keeps its coordinates column-wise as dense integer ids
-(one int32 column per dimension, base level) plus float64 measure columns.
+The detailed cube keeps its coordinates as dense base-level integer ids in
+one row-major int32 rows x dimensions array, plus float64 measure columns.
 Query evaluation is a vectorized filter -> rollup -> group -> aggregate
-pipeline; signatures stay factored per dimension until an algorithm really
-needs per-coordinate enumeration.
+pipeline. Signatures stay factored per dimension and are never enumerated:
+`FactoredSignature.covered_size` counts a union's overlap and
+`overlap_sizes` each box's.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ from .errors import (
     UnknownMeasure,
     UnknownMember,
 )
-from .mdm import ALL_LEVEL, Dimension, Level, Member
+from .mdm import Dimension, Level, Member
 
 AGG_FUNCTIONS = ("sum", "avg", "count", "min", "max")
-
-# Enumerating a signature beyond this many coordinates raises instead of
-# silently materializing a huge product.
-DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class SelectionCondition:
     """Conjunction of atomic filters, at most one per dimension.
 
     A dimension without an atom is unrestricted (equivalently filtered by
-    ALL = {all}).
+    ALL = {all}). Dimension names match ignoring case, as cube lookups do.
     """
 
     atoms: tuple[AtomicFilter, ...] = ()
@@ -63,22 +60,19 @@ class SelectionCondition:
     def __post_init__(self):
         seen = set()
         for a in self.atoms:
-            if a.dimension in seen:
+            if a.dimension.lower() in seen:
                 raise DimensionMismatch(
                     f"two atoms on dimension {a.dimension}")
-            seen.add(a.dimension)
+            seen.add(a.dimension.lower())
         # canonical atom order, so structural equality ignores input order
         object.__setattr__(self, "atoms",
                            tuple(sorted(self.atoms, key=lambda a: a.dimension)))
 
     def atom_for(self, dimension: str) -> AtomicFilter | None:
         for a in self.atoms:
-            if a.dimension == dimension:
+            if a.dimension.lower() == dimension.lower():
                 return a
         return None
-
-    def atom_map(self) -> dict[str, AtomicFilter]:
-        return {a.dimension: a for a in self.atoms}
 
     @property
     def is_empty(self) -> bool:
@@ -279,19 +273,28 @@ class FactoredSignature:
             bool(np.searchsorted(s, v) < len(s) and s[np.searchsorted(s, v)] == v)
             for s, v in zip(self.sets, ids))
 
-    def intersection_size(self, other: "FactoredSignature") -> int:
-        self._check_aligned(other)
-        n = 1
-        for a, b in zip(self.sets, other.sets):
-            n *= len(np.intersect1d(a, b, assume_unique=True))
-            if n == 0:
-                return 0
-        return n
+    def overlap_sizes(self, others: Sequence["FactoredSignature"]) -> list[int]:
+        """|self ∩ o| for every o in others.
 
-    def issubset(self, other: "FactoredSignature") -> bool:
-        self._check_aligned(other)
-        return all(np.isin(a, b, assume_unique=True).all()
-                   for a, b in zip(self.sets, other.sets))
+        Per dimension, the others' id sets are concatenated and looked up in
+        one boolean table of self's ids, and the hits are counted by box
+        with one `bincount`; a box's overlap is the product of its counts,
+        in Python ints so it stays exact.
+        """
+        for o in others:
+            self._check_aligned(o)
+        sizes = [1 if self.size else 0] * len(others)
+        for dim, level, ids, parts in zip(self.dims, self.levels, self.sets,
+                                          zip(*(o.sets for o in others))):
+            if not any(sizes):
+                break
+            member = np.zeros(dim.size(level), dtype=bool)
+            member[ids] = True
+            box = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+            counts = np.bincount(box[member[np.concatenate(parts)]],
+                                 minlength=len(parts))
+            sizes = [n * c for n, c in zip(sizes, counts.tolist())]
+        return sizes
 
     def covered_size(self, others: Sequence["FactoredSignature"]) -> int:
         """|self ∩ (union of others)|, exact for any number of others.
@@ -336,18 +339,6 @@ class FactoredSignature:
             return memo[key]
 
         return count(0, tuple(range(len(others))))
-
-    def enumerate(self) -> Iterator[tuple[int, ...]]:
-        if self.size > DEFAULT_ENUMERATION_CAP:
-            raise SignatureTooLarge(
-                f"signature product of {self.size} coordinates exceeds cap "
-                f"{DEFAULT_ENUMERATION_CAP}")
-        return itertools.product(*[map(int, s) for s in self.sets])
-
-    def to_cellset(self) -> CellSet:
-        rows = np.array(list(self.enumerate()), dtype=np.int32).reshape(
-            -1, len(self.dims))
-        return CellSet(self.dims, self.levels, rows)
 
     def _check_aligned(self, other: "FactoredSignature"):
         if self.dims != other.dims or self.levels != other.levels:
@@ -422,12 +413,13 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
     as rows.
 
     Raises `EmptyFile` when the file has no header, `DimensionMismatch` when
-    no header column names a base level, `UnknownMeasure` when no column is
-    left for measures, `MalformedFactRow` when a row is shorter than the
-    header or a measure is not a number and `UnknownMember` for a label its
-    dimension's base level lacks, both naming the row (counted from the
-    header as row 1, blank rows included), and `DuplicateCoordinates` when
-    two rows share a coordinate tuple.
+    no header column names a base level or two name the same one (before
+    any row is read), `UnknownMeasure` when no column is left for measures,
+    `MalformedFactRow` when a row is shorter than the header or a measure
+    is not a number and `UnknownMember` for a label its dimension's base
+    level lacks, both naming the row (counted from the header as row 1,
+    blank rows included), and `DuplicateCoordinates` when two rows share a
+    coordinate tuple.
     """
     path = Path(path)
     by_base = {d.base_level.name.lower(): d for d in dimensions}
@@ -442,6 +434,11 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
         if not dim_cols:
             raise DimensionMismatch(
                 f"{path}: no dimension column matches a base level")
+        names = [header[c].lower() for c in dim_cols]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise DimensionMismatch(
+                    f"{path}: column {header[dim_cols[k]]} repeats a base level")
         if not measure_cols:
             raise UnknownMeasure(f"{path}: no measure columns")
         dims = [by_base[header[c].lower()] for c in dim_cols]
@@ -504,45 +501,30 @@ def detailed_proxy(q: CubeQuery) -> CubeQuery:
 
 
 def condition_signature(condition: SelectionCondition,
-                        cube: DetailedCube,
-                        detailed: bool = False) -> FactoredSignature:
-    """Factored signature of a selection condition.
-
-    Non-detailed: each dimension contributes its atom's value set at the
-    atom's own level (ALL = {all} when unfiltered). Detailed: every set is
-    rewritten to base-level descendants (full base domain when unfiltered).
-    """
-    atom_map = condition.atom_map()
-    levels = []
+                        cube: DetailedCube) -> FactoredSignature:
+    """Base-level (detailed) factored signature of a selection condition:
+    each dimension's atom rewritten to its base-level descendants, the full
+    base domain when the dimension is unfiltered."""
     sets = []
     for dim in cube.dims:
-        atom = atom_map.get(dim.name)
-        if detailed:
-            base = dim.base_level.name
-            levels.append(base)
-            if atom is None:
-                sets.append(np.arange(dim.size(base), dtype=np.int32))
-            else:
-                sets.append(dim.desc_ids(atom.level, sorted(atom.values), base))
+        atom = condition.atom_for(dim.name)
+        base = dim.base_level.name
+        if atom is None:
+            sets.append(np.arange(dim.size(base), dtype=np.int32))
         else:
-            if atom is None:
-                levels.append(ALL_LEVEL)
-                sets.append(np.zeros(1, dtype=np.int32))
-            else:
-                levels.append(dim.level(atom.level).name)
-                sets.append(np.array(sorted(atom.values), dtype=np.int32))
-    return FactoredSignature(cube.dims, tuple(levels), tuple(sets))
+            sets.append(dim.desc_ids(atom.level, sorted(atom.values), base))
+    return FactoredSignature(cube.dims, cube.base_levels(), tuple(sets))
 
 
 def detailed_signature(q: CubeQuery) -> FactoredSignature:
     """The base-level factored signature of the query's selection."""
-    return condition_signature(q.condition, q.cube, detailed=True)
+    return condition_signature(q.condition, q.cube)
 
 
 def query_signature_factored(q: CubeQuery) -> FactoredSignature:
     """The query signature as a factored product: the base-level signature
     of the filter with each dimension mapped up to the query's grouper."""
-    detailed = condition_signature(q.condition, q.cube, detailed=True)
+    detailed = condition_signature(q.condition, q.cube)
     levels = []
     sets = []
     for dim, grouper, base_ids in zip(q.cube.dims, q.groupers, detailed.sets):
@@ -551,11 +533,6 @@ def query_signature_factored(q: CubeQuery) -> FactoredSignature:
         amap = dim.ancestor_map(0, lv.depth)
         sets.append(np.unique(amap[base_ids]).astype(np.int32))
     return FactoredSignature(q.cube.dims, tuple(levels), tuple(sets))
-
-
-def query_signature(q: CubeQuery) -> CellSet:
-    """Coordinates (no measures) the query result is guaranteed to live in."""
-    return query_signature_factored(q).to_cellset()
 
 
 def selection_mask(q: CubeQuery) -> np.ndarray:

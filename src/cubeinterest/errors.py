@@ -59,8 +59,7 @@ class SchemaMismatch(CubeInterestError):
 
 
 class SignatureTooLarge(CubeInterestError):
-    """A signature product was too large to enumerate and no exact
-    factored shortcut applied."""
+    """A coordinate space was too large for packed int64 keys."""
 
 
 # --- parser errors ------------------------------------------------------------

@@ -138,7 +138,8 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     and detailed signatures from them. So the query is evaluated and its
     detailed area scanned at most once per assessment, and a history query
     only until its entry has memoised them on first use. `pden` and `wdn`
-    are read from one `novelty.pden` partition, and `value_cr` and
+    are read from one `novelty.pden` partition, `fsdn` and `fdsr`
+    (`1.0 - fsdn`) from one `novelty.fsdn` call, and `value_cr` and
     `value_hausdorff` from one `peculiarity.value_peculiarity` call.
     """
     from . import qlang
@@ -150,6 +151,8 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     # the query's own result, keys and signature, memoised like an entry's
     mine = HistoryEntry(q)
     scores: dict[str, dict] = {}
+    if "novelty" in cfg.metrics or "relevance" in cfg.metrics:
+        fsdn = timer.run("novelty.fsdn", novelty.fsdn, mine, entries)
 
     if "novelty" in cfg.metrics:
         same = filter_history_same_measures(entries, q)
@@ -161,7 +164,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         group["pslen"] = _score(timer.run(
             "novelty.pslen", novelty.same_level_novelty, mine, entries,
             basis="extensional"))
-        group["fsdn"] = timer.run("novelty.fsdn", novelty.fsdn, mine, entries)
+        group["fsdn"] = fsdn
         group["pdsn"] = _score(timer.run(
             "novelty.pdsn", novelty.pdsn, mine, same))
         score, part = timer.run("novelty.pden", novelty.pden, mine, same)
@@ -194,9 +197,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         group["psslr"] = timer.run(
             "relevance.psslr", relevance.same_level_relevance, q, history,
             mode="partial")
-        group["fdsr"] = timer.run(
-            "relevance.fdsr", relevance.detailed_relevance, mine, entries,
-            mode="full")
+        group["fdsr"] = 1.0 - fsdn
         group["pdsr"] = timer.run(
             "relevance.pdsr", relevance.detailed_relevance, mine, entries,
             mode="partial", basis="syntactic")

@@ -6,10 +6,11 @@ covered and how much is novel, and returns the novel fraction with the
 partition, which also gives the occurrence-weighted variant
 (`weighted_novel_fraction`). Partitions carry exact counts only. Factored
 signatures are never enumerated: the covered count against a union of
-factored signatures comes from `FactoredSignature.covered_size`, and cell
-universes are compared as packed integer keys. Belief coverage rolls each
-anchor up to the cells' levels and checks each cell only against the
-anchors inside it.
+factored signatures comes from `FactoredSignature.covered_size`, and the
+covered weight and `fsdn`'s containment test from the per-box counts of
+`FactoredSignature.overlap_sizes`. Cell universes are compared as packed
+integer keys. Belief coverage rolls each anchor up to the cells' levels and
+checks each cell only against the anchors inside it.
 
 The detailed and extensional metrics take the query and each history item
 as a `CubeQuery` or a `context.HistoryEntry`, and read the detailed-area
@@ -85,7 +86,7 @@ def factored_partition(target: FactoredSignature,
     """Coverage of a factored signature by the union of others; each other
     signature adds its overlap with the target to the covered weight."""
     cov = target.covered_size(others)
-    weight = sum(target.intersection_size(o) for o in others)
+    weight = sum(target.overlap_sizes(others))
     return CoveragePartition(target.size, cov, target.size - cov,
                              covered_weight=float(weight))
 
@@ -171,11 +172,10 @@ def same_level_novelty(q: QueryOrEntry, history: Sequence[QueryOrEntry],
 
 def fsdn(q: QueryOrEntry, history: Sequence[QueryOrEntry]) -> int:
     """Full syntactic detailed novelty: 0 iff some history query's detailed
-    signature is a superset of q's (checked per dimension on the factored
-    signatures)."""
+    signature contains q's, that is, overlaps it in all of q's coordinates."""
     mine = as_entry(q).detailed_signature
     others = [as_entry(h).detailed_signature for h in history]
-    return 0 if any(mine.issubset(s) for s in others) else 1
+    return 0 if mine.size in mine.overlap_sizes(others) else 1
 
 
 def pdsn(q: QueryOrEntry, history: Sequence[QueryOrEntry]

@@ -108,12 +108,10 @@ def query_distance_components(qa: CubeQuery,
     """
     _check_same_space(qa, qb)
     dims = qa.cube.dims
-    atoms_a = qa.condition.atom_map()
-    atoms_b = qb.condition.atom_map()
     d_filter = 0.0
     d_level = 0.0
     for i, dim in enumerate(dims):
-        a, b = atoms_a.get(dim.name), atoms_b.get(dim.name)
+        a, b = qa.condition.atom_for(dim.name), qb.condition.atom_for(dim.name)
         key_a = (dim.level(a.level).depth, a.values) if a else None
         key_b = (dim.level(b.level).depth, b.values) if b else None
         if key_a != key_b:

@@ -446,10 +446,9 @@ def print_query(q: CubeQuery) -> str:
 
 
 def print_condition(condition: SelectionCondition, cube: DetailedCube) -> str:
-    atom_map = condition.atom_map()
     chunks = []
     for dim in cube.dims:
-        atom = atom_map.get(dim.name)
+        atom = condition.atom_for(dim.name)
         if atom is None:
             continue
         labels = sorted(dim.label_of(atom.level, v) for v in atom.values)

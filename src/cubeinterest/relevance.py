@@ -39,8 +39,8 @@ def multi_goal_gbdsr(q: CubeQuery, goals: Sequence[Goal]
     if not goals:
         raise ValueError("at least one goal is required")
     part = factored_partition(
-        condition_signature(q.condition, q.cube, detailed=True),
-        [condition_signature(g, q.cube, detailed=True) for g in goals])
+        condition_signature(q.condition, q.cube),
+        [condition_signature(g, q.cube) for g in goals])
     return part.covered_fraction, part
 
 

@@ -18,10 +18,11 @@ from cubeinterest.engine import (
     detailed_area,
     detailed_area_keys,
     detailed_proxy,
+    detailed_signature,
     evaluate,
     isin_sorted,
     load_facts,
-    query_signature,
+    query_signature_factored,
     selection_mask,
 )
 from cubeinterest.errors import (
@@ -31,7 +32,10 @@ from cubeinterest.errors import (
     UnknownMeasure,
     UnknownMember,
 )
+from cubeinterest.harness import generate_star_data
 from cubeinterest.mdm import dimension_from_rows
+from cubeinterest.novelty import pden, pdsn
+from cubeinterest.peculiarity import query_distance_components
 from cubeinterest import qlang
 
 
@@ -85,46 +89,79 @@ def test_detailed_proxy_selects_same_rows(tiny):
 
 def test_condition_signature_shapes(tiny):
     cond = qlang.parse_condition("Geo.City IN {Athens}", tiny)
-    sig = condition_signature(cond, tiny)
-    assert sig.levels == ("City", "ALL")
-    assert sig.size == 1
-    detailed = condition_signature(cond, tiny, detailed=True)
+    detailed = condition_signature(cond, tiny)
     assert detailed.levels == ("City", "Month")
     assert detailed.size == 1 * 4
-    empty = condition_signature(SelectionCondition(), tiny, detailed=True)
+    empty = condition_signature(SelectionCondition(), tiny)
     assert empty.size == 16
+
+
+def test_atom_dimension_matches_ignoring_case():
+    """An atom naming its dimension in another case selects, signs, scores
+    and prints as the canonical atom does, and counts as the same
+    dimension."""
+    cube = generate_star_data(2000, 7).cube()
+    r1 = frozenset({cube.dim("Account").member("Region", "R1").id})
+
+    def query(name):
+        return CubeQuery(cube, SelectionCondition(
+            (AtomicFilter(name, "Region", r1),)), ("Region", "ALL", "ALL"),
+            (("sum", "Amt"),))
+
+    lower, canon = query("account"), query("Account")
+    assert lower.same_definition(canon)
+    assert selection_mask(lower).sum() == selection_mask(canon).sum() == 291
+    sig, ref = detailed_signature(lower), detailed_signature(canon)
+    assert sig.size == ref.size == 4_732_992
+    assert all(np.array_equal(a, b) for a, b in zip(sig.sets, ref.sets))
+    assert pdsn(lower, [canon])[0] == pden(lower, [canon])[0] == 0.0
+    assert qlang.print_query(lower) == qlang.print_query(canon)
+    assert " WHERE " in qlang.print_query(lower)
+    assert query_distance_components(lower, canon) == (0.0, 0.0, 0.0)
+    with pytest.raises(DimensionMismatch):
+        SelectionCondition((AtomicFilter("Account", "Region", r1),
+                            AtomicFilter("account", "Region", r1)))
 
 
 def test_condition_signature_year_expansion(pkdd_cube):
     cond = qlang.parse_condition("Date.Year IN {1996}", pkdd_cube)
-    sig = condition_signature(cond, pkdd_cube, detailed=True)
+    sig = condition_signature(cond, pkdd_cube)
     date_set = sig.sets[pkdd_cube.dim_index("Date")]
     assert len(date_set) == 366
     account_set = sig.sets[pkdd_cube.dim_index("Account")]
     assert len(account_set) == pkdd_cube.dim("Account").size("Account")
 
 
+def _signature_labels(sig) -> list[tuple[str, ...]]:
+    """Labels of every coordinate in the product of a signature's sets."""
+    return [tuple(d.label_of(lv, int(i))
+                  for d, lv, i in zip(sig.dims, sig.levels, ids))
+            for ids in itertools.product(*sig.sets)]
+
+
 def test_query_signature_collapses_to_country(tiny):
     q = qlang.parse_query(
         "SELECT avg(Amt) BY Geo.Country WHERE Geo.City IN "
         "{Athens, Thessaloniki}", tiny)
-    sig = query_signature(q)
+    sig = query_signature_factored(q)
     assert sig.size == 1  # both cities roll to Greece, Date collapses to all
-    assert sig.labels_row(0) == ("Greece", "all")
+    assert _signature_labels(sig) == [("Greece", "all")]
 
 
 def test_query_signature_unfiltered_base(tiny):
     q = qlang.parse_query("SELECT avg(Amt) BY Geo.City, Date.Month", tiny)
-    assert query_signature(q).size == 16
+    sig = query_signature_factored(q)
+    assert sig.size == 16
+    assert len(set(_signature_labels(sig))) == 16
 
 
 def test_query_signature_matches_enumeration_oracle(pkdd_cube, pkdd_query):
-    sig = query_signature(pkdd_query)
+    sig = query_signature_factored(pkdd_query)
     account = pkdd_cube.dim("Account")
     date = pkdd_cube.dim("Date")
     districts = account.size("District")
     assert sig.size == districts * 1 * 12
-    got = {sig.labels_row(i) for i in range(sig.size)}
+    got = set(_signature_labels(sig))
     expected = {
         (account.label_of("District", d), "all", f"1996-{m:02d}")
         for d in range(districts) for m in range(1, 13)}
@@ -259,8 +296,8 @@ def test_sorted_probe(pkdd_query, pkdd_history):
 def test_factored_membership_matches_product(tiny):
     cond = qlang.parse_condition(
         "Geo.City IN {Athens, Paris} AND Date.Year IN {1996}", tiny)
-    sig = condition_signature(cond, tiny, detailed=True)
-    product = set(sig.enumerate())
+    sig = condition_signature(cond, tiny)
+    product = set(itertools.product(*sig.sets))
     for city in range(4):
         for month in range(4):
             assert sig.contains((city, month)) == ((city, month) in product)
@@ -295,6 +332,8 @@ def test_covered_size_matches_product(box_schema):
     def check(target, others):
         union = set().union(*(product(o) for o in others))
         assert target.covered_size(others) == len(product(target) & union)
+        assert target.overlap_sizes(others) == [
+            len(product(target) & product(o)) for o in others]
 
     for n in range(31):
         target = box()
@@ -305,12 +344,18 @@ def test_covered_size_matches_product(box_schema):
 
     target = box()
     assert target.covered_size([]) == 0
+    assert target.overlap_sizes([]) == []
     full = FactoredSignature(dims, levels, tuple(
         np.arange(n, dtype=np.int32) for n in sizes))
     assert target.covered_size([box(), full, box()]) == target.size
+    check(target, [box(), full, box()])
+    assert target.overlap_sizes([full]) == [target.size]
     hollow = FactoredSignature(dims, levels, (np.zeros(0, dtype=np.int32),)
                                + target.sets[1:])
     assert hollow.covered_size([full]) == 0
+    check(hollow, [full, target])
+    check(target, [hollow, full])
+    assert hollow.overlap_sizes([full, target]) == [0, 0]
 
 
 def test_cell_distance_cases(tiny):

@@ -231,17 +231,14 @@ def test_value_peculiarity_beyond_a_million_cell_pairs():
     assert report.scores["peculiarity"]["value_hausdorff"] == 0.0
 
 
-def _count_scans(monkeypatch) -> list:
-    """Record the query of every `selection_mask` call, at every module
+def _count_calls(monkeypatch, orig) -> list:
+    """Record the first argument of every call of `orig`, at every module
     binding of the function."""
-    from cubeinterest import engine
-
-    orig = engine.selection_mask
     calls = []
 
-    def counted(q):
-        calls.append(q)
-        return orig(q)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return orig(first, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == "cubeinterest" or name.startswith("cubeinterest."):
@@ -249,6 +246,13 @@ def _count_scans(monkeypatch) -> list:
                 if value is orig:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+def _count_scans(monkeypatch) -> list:
+    """Record the query of every `selection_mask` call."""
+    from cubeinterest import engine
+
+    return _count_calls(monkeypatch, engine.selection_mask)
 
 
 def _plain_scores(q, ctx) -> dict:
@@ -310,6 +314,32 @@ def _empty_query(cube):
         "avg(Amt)", "Account.District, Date.Month", EMPTY_WHERE), cube)
     assert detailed_area_keys(q).size == 0 and evaluate(q).size == 0
     return q
+
+
+def test_one_fsdn_call_per_assessment(monkeypatch, star_cube):
+    """`fsdn` and `fdsr` are read from one `novelty.fsdn` call, and equal
+    plain `fsdn` and full detailed relevance calls."""
+    ctx, q = _star_session(star_cube)
+    calls = _count_calls(monkeypatch, novelty.fsdn)
+    for covered in (False, True):
+        if covered:  # an unfiltered query contains q's detailed signature
+            ctx.history.append(
+                qlang.parse_query("SELECT sum(Amt) BY Date.Year", star_cube))
+        history = ctx.history.queries()
+        plain = novelty.fsdn(q, history)
+        full = relevance.detailed_relevance(q, history, mode="full")
+        assert plain == (0 if covered else 1)
+        calls.clear()
+        report = interestingness_vector(q, ctx)
+        assert len(calls) == 1
+        fsdn = report.scores["novelty"]["fsdn"]
+        fdsr = report.scores["relevance"]["fdsr"]
+        assert fsdn == plain and fdsr == full == 1.0 - fsdn
+        for metrics, n in ((("novelty",), 1), (("relevance",), 1),
+                           (("peculiarity", "surprise"), 0)):
+            calls.clear()
+            interestingness_vector(q, ctx, AssessConfig(metrics=metrics))
+            assert len(calls) == n
 
 
 def test_second_assessment_scans_the_query_alone(monkeypatch, star_cube):
@@ -547,11 +577,14 @@ def _assess_argv(*extra):
     _assess_argv("--weights", "a,b,c"),
     _assess_argv("--pi", "2", "--beliefs", str(PKDD / "beliefs.txt")),
     _assess_argv("--pi", "-0.5"),
+    _assess_argv("--k", "0"),
+    _assess_argv("--k", "-1"),
     lambda out: ["bench", "--reps", "0", "--out", str(out)],
     lambda out: ["bench", "--base-sizes", "10,x", "--out", str(out)],
     lambda out: ["bench", "--history-sizes", "0", "--out", str(out)],
     lambda out: ["gen", "--rows", "0", "--out", str(out)],
 ], ids=["weights-sum", "weights-text", "pi-with-beliefs", "pi-alone",
+        "k-zero", "k-negative",
         "bench-reps", "bench-base-sizes", "bench-history-sizes", "gen-rows"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -559,6 +592,17 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_cli_checks_k_before_loading(tmp_path, capsys):
+    """`--k 0` is refused even where no Jaccard score would be computed."""
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = _assess_argv("--k", "0")(tmp_path / "out")
+    argv[argv.index("--history") + 1] = str(empty)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --k 0")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_gen_and_bench(tmp_path, capsys):

@@ -7,6 +7,7 @@ from cubeinterest import engine
 from cubeinterest.cli import main
 from cubeinterest.engine import load_facts
 from cubeinterest.errors import (
+    DimensionMismatch,
     DuplicateCoordinates,
     MalformedFactRow,
     UnknownMember,
@@ -164,3 +165,38 @@ def test_cli_reports_malformed_facts(star, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 4" in err
+
+
+def _repeated_column_file(out, tmp_path, name):
+    """The generated facts with their Account column repeated at the end
+    under `name`."""
+    lines = (out / "facts.csv").read_text(encoding="utf-8").splitlines()
+    rows = [f"{line},{line.split(',')[0]}" for line in lines[1:]]
+    return _write(tmp_path / "facts.csv", f"{lines[0]},{name}", rows)
+
+
+@pytest.mark.parametrize("name", ["Account", "account"])
+def test_repeated_base_level_column_is_refused(star, tmp_path, name):
+    out, dims = star
+    path = _repeated_column_file(out, tmp_path, name)
+    with pytest.raises(DimensionMismatch,
+                       match=rf"facts\.csv: column {name} repeats"):
+        load_facts(path, dims)
+
+
+def test_cli_refuses_repeated_base_level_column(star, tmp_path, capsys):
+    out, _ = star
+    session = tmp_path / "session.txt"
+    session.write_text("SELECT sum(Amt) BY Account.Region\n")
+    rc = main([
+        "assess",
+        "--schema", str(out / "schema"),
+        "--facts", str(_repeated_column_file(out, tmp_path, "Account")),
+        "--history", str(session),
+        "--query", "SELECT sum(Amt) BY Account.District",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "column Account repeats" in err
+    assert not (tmp_path / "report.json").exists()

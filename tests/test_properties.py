@@ -4,6 +4,7 @@ Each @given example counts as one generated case; the per-test example
 counts are sized so the module generates well over a thousand cases.
 """
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -304,8 +305,8 @@ def test_signature_bounds_result(seed):
 @given(seeds)
 def test_factored_membership_is_product_membership(seed):
     inst = small(seed, n_queries=1)
-    sig = condition_signature(inst.q.condition, inst.cube, detailed=True)
-    mat = set(sig.enumerate())
+    sig = condition_signature(inst.q.condition, inst.cube)
+    mat = set(itertools.product(*sig.sets))
     import random as _random
 
     rnd = _random.Random(seed)
