@@ -37,6 +37,7 @@ from .errors import (
     EmptyFile,
     HistoryConsistencyError,
     MalformedFactRow,
+    SchemaMismatch,
     UnknownLevel,
     UnknownMeasure,
     UnknownMember,
@@ -153,12 +154,12 @@ class HistoryEntry:
     """One logged query, with its result when the client supplied one.
 
     What the metrics need of this query alone is computed on first use and
-    kept on the entry, so later assessments against the same history do
-    not scan the fact table for it again: its sorted detailed-area keys
-    (8 bytes per selected fact row), its result cells (the supplied result,
-    else the query evaluated once) and its detailed factored signature
-    (one sorted id array per dimension). Appending computes none of them,
-    and the cube is immutable, so none goes stale. The detailed and
+    kept on the entry: its rows, the ascending ids of the fact rows it
+    selects (its detailed area, 8 bytes per row), selected once in the
+    entry's life, by `append` when it checks a supplied result; its result
+    cells (the supplied result, else the query evaluated over its rows);
+    and its detailed factored signature (one sorted id array per
+    dimension). The cube is immutable, so none goes stale. The detailed and
     extensional metrics read these from the entries they are given; a bare
     query gets a fresh entry (`as_entry`) that lives for one call, so a
     plain call still scans.
@@ -170,12 +171,19 @@ class HistoryEntry:
     seq: int = 0
 
     @cached_property
-    def detailed_keys(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         return detailed_area_keys(self.query)
+
+    def rows_over(self, cube: DetailedCube) -> np.ndarray:
+        """The rows; row ids compare only over one cube object."""
+        if self.query.cube is not cube:
+            raise SchemaMismatch("detailed areas compare over one cube only")
+        return self.rows
 
     @cached_property
     def result_cells(self) -> CellSet:
-        return self.result if self.result is not None else evaluate(self.query)
+        return (self.result if self.result is not None
+                else evaluate(self.query, self.rows))
 
     @cached_property
     def detailed_signature(self) -> FactoredSignature:
@@ -199,10 +207,11 @@ class QueryHistory:
 
     def append(self, query: CubeQuery, result: CellSet | None = None,
                session_id: str = "s0"):
-        if result is not None:
-            _check_cached(query, result)
         seq = self.entries[-1].seq + 1 if self.entries else 0
-        self.entries.append(HistoryEntry(query, result, session_id, seq))
+        entry = HistoryEntry(query, result, session_id, seq)
+        if result is not None:
+            _check_cached(entry)
+        self.entries.append(entry)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -221,16 +230,16 @@ class QueryHistory:
         return out
 
 
-def _check_cached(query: CubeQuery, result: CellSet):
-    fresh = evaluate(query)
+def _check_cached(entry: HistoryEntry):
+    result, fresh = entry.result, evaluate(entry.query, entry.rows)
     if result.dims != fresh.dims or result.levels != fresh.levels:
         raise HistoryConsistencyError("cached result is at different levels")
-    if sorted(result.packed_keys()) != sorted(fresh.packed_keys()):
+    keys_a, keys_b = result.packed_keys(), fresh.packed_keys()
+    order_a, order_b = np.argsort(keys_a), np.argsort(keys_b)
+    if not np.array_equal(keys_a[order_a], keys_b[order_b]):
         raise HistoryConsistencyError("cached result has different coordinates")
     if set(result.measures) != set(fresh.measures):
         raise HistoryConsistencyError("cached result has different measures")
-    order_a = np.argsort(result.packed_keys())
-    order_b = np.argsort(fresh.packed_keys())
     for name, col in result.measures.items():
         if not np.allclose(col[order_a], fresh.measures[name][order_b],
                            rtol=1e-9, atol=1e-9):
@@ -271,7 +280,8 @@ ExpectedLabels = ExpectedValues
 
 
 def load_expected_values(path: str | Path, cube: DetailedCube) -> ExpectedValues:
-    """Read an expected-values CSV: coordinate columns, `measure`, `expected`."""
+    """Read an expected-values CSV: coordinate columns, `measure`, and a
+    finite number in `expected`."""
     return _load_expectations(path, cube, ("expected",), float)
 
 
@@ -287,9 +297,10 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
     dimension, named by level, in any order (never `label` or `expected`).
     Each coordinate column is resolved once, to its dimension, level and
     label -> id memo; a dimension without one is anchored at ALL. `parse`
-    makes the stored value from the value field; a `ValueError` from it and
-    a row shorter than the header raise `MalformedFactRow`. Errors past the
-    header's read name the file and the row, counted as `load_facts` does.
+    makes the stored value from the value field; a `ValueError` from it, a
+    float that is not finite and a row shorter than the header raise
+    `MalformedFactRow`. Errors past the header's read name the file and
+    the row, counted as `load_facts` does.
     """
     path = Path(path)
     out = ExpectedValues()
@@ -335,6 +346,9 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
                 except ValueError:
                     raise MalformedFactRow(f"{header[v_col]} is not a number: "
                                            f"{row[v_col]!r}") from None
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise MalformedFactRow(f"{header[v_col]} is not finite: "
+                                           f"{row[v_col]!r}")
                 out.register(anchor, measure, value)
         except (MalformedFactRow, UnknownLevel, UnknownMeasure, UnknownMember) as exc:
             raise type(exc)(f"{path}: row {row_no}: {exc}") from None

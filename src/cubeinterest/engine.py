@@ -3,7 +3,8 @@
 The detailed cube keeps its coordinates as dense base-level integer ids in
 one row-major int32 rows x dimensions array, plus float64 measure columns.
 Query evaluation is a vectorized filter -> rollup -> group -> aggregate
-pipeline. Signatures stay factored per dimension and are never enumerated:
+pipeline. A query's detailed area is the ids of the fact rows it selects.
+Signatures stay factored per dimension and are never enumerated:
 `FactoredSignature.covered_size` counts a union's overlap and
 `overlap_sizes` each box's.
 """
@@ -268,11 +269,6 @@ class FactoredSignature:
             n *= len(s)
         return n
 
-    def contains(self, ids) -> bool:
-        return all(
-            bool(np.searchsorted(s, v) < len(s) and s[np.searchsorted(s, v)] == v)
-            for s, v in zip(self.sets, ids))
-
     def overlap_sizes(self, others: Sequence["FactoredSignature"]) -> list[int]:
         """|self ∩ o| for every o in others.
 
@@ -416,7 +412,7 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
     no header column names a base level or two name the same one (before
     any row is read), `UnknownMeasure` when no column is left for measures,
     `MalformedFactRow` when a row is shorter than the header or a measure
-    is not a number and `UnknownMember` for a label its dimension's base
+    is not a finite number and `UnknownMember` for a label its dimension's base
     level lacks, both naming the row (counted from the header as row 1,
     blank rows included), and `DuplicateCoordinates` when two rows share a
     coordinate tuple.
@@ -461,9 +457,9 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
                 coord_parts.append(np.stack(
                     [np.fromiter(map(m.__getitem__, cols[c]), np.int32, count=n)
                      for m, c in zip(ids, dim_cols)], axis=1))
-                value_parts.append(np.stack(
+                values = np.stack(
                     [np.fromiter(map(float, cols[c]), np.float64, count=n)
-                     for c in measure_cols], axis=1))
+                     for c in measure_cols], axis=1)
             except UnknownMember as exc:
                 # columns are read in turn: the first label its memo lacks failed
                 row = next(r for m, c in zip(ids, dim_cols) for r in chunk
@@ -475,6 +471,12 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
                               if not _is_number(r[c]))
                 raise _malformed(path, first, raw, row, f"measure {header[c]} "
                                  f"is not a number: {row[c]!r}") from None
+            if not np.isfinite(values).all():
+                i, k = np.argwhere(~np.isfinite(values))[0]
+                row, c = chunk[i], measure_cols[k]
+                raise _malformed(path, first, raw, row, f"measure {header[c]} "
+                                 f"is not finite: {row[c]!r}")
+            value_parts.append(values)
     return DetailedCube(tuple(dims), tuple(header[c] for c in measure_cols),
                         np.concatenate(coord_parts), np.concatenate(value_parts))
 
@@ -548,17 +550,17 @@ def selection_mask(q: CubeQuery) -> np.ndarray:
     return mask
 
 
-def evaluate(q: CubeQuery) -> CellSet:
+def evaluate(q: CubeQuery, rows: np.ndarray | None = None) -> CellSet:
     """Run the query: filter facts, roll coordinates up to the grouper
-    levels, and aggregate each same-coordinate group.
+    levels, and aggregate each same-coordinate group; given `rows`, the
+    query's `detailed_area_keys`, the filter step is skipped.
 
     Groups with no qualifying fact rows are absent from the result. `avg`
     is derived from exact (sum, count) pairs; `count` values are exact
     integers widened to float64.
     """
     cube = q.cube
-    mask = selection_mask(q)
-    sel = np.flatnonzero(mask)
+    sel = detailed_area_keys(q) if rows is None else rows
     depths = [cube.dims[j].level(g).depth for j, g in enumerate(q.groupers)]
     grouped = np.empty((len(sel), len(cube.dims)), dtype=np.int32)
     for j, dim in enumerate(cube.dims):
@@ -599,16 +601,10 @@ def detailed_area(q: CubeQuery) -> CellSet:
 
 
 def detailed_area_keys(q: CubeQuery) -> np.ndarray:
-    """Sorted packed keys of the detailed area's coordinates.
-
-    Fact coordinates are unique, so the selected rows are exactly the
-    detailed area; this skips the aggregation step of `detailed_area`.
-    """
-    cube = q.cube
-    sel = selection_mask(q)
-    keys = pack_keys(cube.coords[sel], [d.size(d.base_level) for d in cube.dims])
-    keys.sort()
-    return keys
+    """Ascending ids of the fact rows the query selects: its detailed area,
+    as fact coordinates are unique, in ids that compare only within one
+    cube object."""
+    return np.flatnonzero(selection_mask(q))
 
 
 def isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ class UnknownLevel(CubeInterestError):
 
 class MalformedFactRow(CubeInterestError):
     """A fact or expectation row is shorter than the header or holds a
-    measure or expected value that is not a number."""
+    measure or expected value that is not a finite number."""
 
 
 class DuplicateCoordinates(CubeInterestError):

@@ -133,11 +133,11 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     relevance when a goal exists, else detailed extensional relevance;
     average syntactic peculiarity; normalized average value surprise.
 
-    The detailed and extensional metrics are given the query in an entry
-    of its own and the history's entries, and read results, detailed keys
-    and detailed signatures from them. So the query is evaluated and its
-    detailed area scanned at most once per assessment, and a history query
-    only until its entry has memoised them on first use. `pden` and `wdn`
+    The detailed and extensional metrics and goal relevance are given the
+    query in an entry of its own and the history's entries, and read rows,
+    results and detailed signatures from them. So an assessment selects
+    the query's rows once, and an entry's rows are selected once in its
+    life, by `append` when it checks a supplied result. `pden` and `wdn`
     are read from one `novelty.pden` partition, `fsdn` and `fdsr`
     (`1.0 - fsdn`) from one `novelty.fsdn` call, and `value_cr` and
     `value_hausdorff` from one `peculiarity.value_peculiarity` call.
@@ -148,7 +148,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     timer = _Timer(timings)
     entries = ctx.history.entries
     history = [e.query for e in entries]
-    # the query's own result, keys and signature, memoised like an entry's
+    # the query's own rows, result and signature, memoised like an entry's
     mine = HistoryEntry(q)
     scores: dict[str, dict] = {}
     if "novelty" in cfg.metrics or "relevance" in cfg.metrics:
@@ -188,7 +188,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         group = {}
         if ctx.goals:
             group["gbdsr"] = _score(timer.run(
-                "relevance.gbdsr", relevance.multi_goal_gbdsr, q, ctx.goals))
+                "relevance.gbdsr", relevance.multi_goal_gbdsr, mine, ctx.goals))
         else:
             group["gbdsr"] = None
         group["fsslr"] = timer.run(
@@ -460,6 +460,19 @@ def _bench_queries(cube: DetailedCube, n_history: int
     return q, history, goal
 
 
+def _bench_runners(q: CubeQuery, history: list[CubeQuery],
+                   goal: SelectionCondition) -> dict[str, Callable]:
+    """The timed plain metric calls of one benchmark cell."""
+    return {
+        "pden": lambda: novelty.pden(q, history),
+        "pder": lambda: relevance.detailed_relevance(
+            q, history, mode="partial", basis="extensional"),
+        "jaccard": lambda: peculiarity.jaccard_peculiarity(
+            q, history, k=min(2, len(history))),
+        "gbdsr": lambda: relevance.gbdsr(q, goal),
+    }
+
+
 def run_benchmark(cfg: BenchConfig = BenchConfig()) -> dict:
     """Median wall times per (metric, base size, history size) cell.
 
@@ -467,48 +480,38 @@ def run_benchmark(cfg: BenchConfig = BenchConfig()) -> dict:
     evaluation it triggers; dataset generation and parsing are excluded.
     """
     cells = []
+    runners = []
     for base in cfg.base_sizes:
         cube = generate_star_data(base, cfg.seed).cube()
         for h in cfg.history_sizes:
-            q, history, goal = _bench_queries(cube, h)
-            runners = {
-                "pden": lambda: novelty.pden(q, history),
-                "pder": lambda: relevance.detailed_relevance(
-                    q, history, mode="partial", basis="extensional"),
-                "jaccard": lambda: peculiarity.jaccard_peculiarity(
-                    q, history, k=min(2, len(history))),
-                "gbdsr": lambda: relevance.gbdsr(q, goal),
-            }
-            # Warmup once per metric: populates rollup-map caches and sizes
-            # the inner loop so each timed sample covers >= ~20ms of work.
-            # Repetitions are interleaved across metrics so a transient
-            # load burst cannot poison every sample of one cell.
-            loops: dict[str, int] = {}
-            scores: dict[str, object] = {}
-            samples: dict[str, list[float]] = {m: [] for m in runners}
-            for metric, fn in runners.items():
+            for metric, fn in _bench_runners(*_bench_queries(cube, h)).items():
+                # Warmup once per metric: populates rollup-map caches and
+                # sizes the inner loop so each timed sample covers >= ~20ms
+                # of work.
                 start = time.perf_counter()
                 out = fn()
                 warmup = time.perf_counter() - start
-                scores[metric] = out[0] if isinstance(out, tuple) else out
-                loops[metric] = max(1, int(0.020 / max(warmup, 1e-6)))
-            for _ in range(cfg.repetitions):
-                for metric, fn in runners.items():
-                    start = time.perf_counter()
-                    for _ in range(loops[metric]):
-                        fn()
-                    samples[metric].append(
-                        (time.perf_counter() - start) * 1000.0 / loops[metric])
-            for metric in runners:
                 cells.append({
                     "metric": metric,
                     "base_size": base,
                     "history_size": h,
-                    "median_ms": float(statistics.median(samples[metric])),
-                    "times_ms": samples[metric],
-                    "loops": loops[metric],
-                    "score": scores[metric],
+                    "times_ms": [],
+                    "loops": max(1, int(0.020 / max(warmup, 1e-6))),
+                    "score": out[0] if isinstance(out, tuple) else out,
                 })
+                runners.append(fn)
+    # Each repetition times every (metric, base size, history size) cell
+    # once, so a slow spell of the host spreads over all cells instead of
+    # moving the ratio between two of them.
+    for _ in range(cfg.repetitions):
+        for cell, fn in zip(cells, runners):
+            start = time.perf_counter()
+            for _ in range(cell["loops"]):
+                fn()
+            cell["times_ms"].append(
+                (time.perf_counter() - start) * 1000.0 / cell["loops"])
+    for cell in cells:
+        cell["median_ms"] = float(statistics.median(cell["times_ms"]))
     return {
         "config": {
             "base_sizes": list(cfg.base_sizes),

@@ -8,17 +8,16 @@ partition, which also gives the occurrence-weighted variant
 signatures are never enumerated: the covered count against a union of
 factored signatures comes from `FactoredSignature.covered_size`, and the
 covered weight and `fsdn`'s containment test from the per-box counts of
-`FactoredSignature.overlap_sizes`. Cell universes are compared as packed
-integer keys. Belief coverage rolls each anchor up to the cells' levels and
-checks each cell only against the anchors inside it.
+`FactoredSignature.overlap_sizes`. Result cells are compared as packed
+keys, detailed areas as fact row ids. Belief coverage rolls each anchor up
+to the cells' levels and checks each cell only against the anchors in it.
 
 The detailed and extensional metrics take the query and each history item
-as a `CubeQuery` or a `context.HistoryEntry`, and read the detailed-area
-keys, result cells and detailed signature from the entry. A bare query is
-wrapped in a fresh entry for the call, so a plain call scans or evaluates
-each query once. `harness.interestingness_vector` passes entries that
-memoise these values, so one assessment scans the fact table for the query
-alone.
+as a `CubeQuery` or a `context.HistoryEntry`, and read the rows, result
+cells and detailed signature from the entry. A bare query is wrapped in a
+fresh entry for the call, so a plain call selects each query's rows once.
+`harness.interestingness_vector` passes entries that memoise these values,
+so one assessment selects the fact rows of the query alone.
 """
 
 from __future__ import annotations
@@ -203,18 +202,18 @@ def pden(q: QueryOrEntry, history: Sequence[QueryOrEntry]
     weighted variant (wdn): a covered cell weighs one per history query
     containing it, a novel cell weighs 1.
 
-    Detailed areas reduce to selected fact rows (cube coordinates are
-    unique), so this works on the sorted packed row keys of
-    `detailed_area_keys`, read from each entry's `detailed_keys`: a bare
-    query's are scanned once in the call, an entry's once in its life.
-    Each history query's keys are probed once for q's keys, and the per-key
-    hit counts give the covered count and weight as exact integers.
+    Detailed areas are selected fact rows (cube coordinates are unique), so
+    this works on each entry's `rows`, which compare only over q's cube
+    object (`HistoryEntry.rows_over`): a bare query's are selected once in
+    the call, an entry's once in its life. Each history query's rows are
+    probed once for q's, and the per-row hit counts give the covered count
+    and weight as exact integers.
     """
-    mine = as_entry(q).detailed_keys
-    hits = np.zeros(len(mine), dtype=np.int64)
+    mine = as_entry(q)
+    hits = np.zeros(len(mine.rows), dtype=np.int64)
     for h in history:
-        hits += isin_sorted(mine, as_entry(h).detailed_keys)
-    total = len(mine)
+        hits += isin_sorted(mine.rows, as_entry(h).rows_over(mine.query.cube))
+    total = len(hits)
     cov = int(np.count_nonzero(hits))
     part = CoveragePartition(total, cov, total - cov,
                              covered_weight=float(hits.sum()))

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import QueryOrEntry, as_entry
-from .engine import CellSet, CubeQuery, detailed_area_keys, isin_sorted
+from .engine import CellSet, CubeQuery, isin_sorted
 from .errors import (
     EmptyCollection,
     EmptyResult,
@@ -258,14 +258,14 @@ def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
 # --- Jaccard over detailed areas ---------------------------------------------
 
 def jaccard_detailed_distance(qa: CubeQuery, qb: CubeQuery) -> float:
-    """1 minus the Jaccard similarity of the two detailed areas; 0 when
-    both areas are empty (identical)."""
-    _check_same_space(qa, qb)
-    return _jaccard_distance(detailed_area_keys(qa), detailed_area_keys(qb))
+    """1 minus the Jaccard similarity of the two detailed areas, which must
+    be over one cube object; 0 when both areas are empty (identical)."""
+    return _jaccard_distance(as_entry(qa).rows,
+                             as_entry(qb).rows_over(qa.cube))
 
 
 def _jaccard_distance(ka: np.ndarray, kb: np.ndarray) -> float:
-    """Jaccard distance of two sorted unique key arrays."""
+    """Jaccard distance of two ascending row-id arrays."""
     inter = int(np.count_nonzero(isin_sorted(ka, kb)))
     union = len(ka) + len(kb) - inter
     if union == 0:
@@ -277,16 +277,15 @@ def jaccard_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
                         k: int = 1) -> float:
     """k-th smallest Jaccard distance between q's detailed area and the
     detailed areas of the collection (distances sorted ascending; ties keep
-    collection order, which cannot change the returned value). Sorted
-    detailed-area keys are read from entries; q and each bare query are
-    scanned once."""
+    collection order, which cannot change the returned value). The areas
+    are the entries' rows, over q's cube object only; q and each bare query
+    are selected once."""
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
     if not 1 <= k <= len(collection):
         raise KOutOfRange(f"k={k} outside 1..{len(collection)}")
-    mine, others = as_entry(q), [as_entry(x) for x in collection]
-    for other in others:
-        _check_same_space(mine.query, other.query)
-    distances = sorted(_jaccard_distance(mine.detailed_keys, o.detailed_keys)
-                       for o in others)
+    mine = as_entry(q)
+    distances = sorted(
+        _jaccard_distance(mine.rows, as_entry(x).rows_over(mine.query.cube))
+        for x in collection)
     return distances[k - 1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .context import Goal, QueryOrEntry
+from .context import Goal, QueryOrEntry, as_entry
 from .engine import CubeQuery, condition_signature
 from .errors import LevelMismatch
 from .novelty import (
@@ -32,15 +32,17 @@ def gbdsr(q: CubeQuery, goal: Goal) -> tuple[float, CoveragePartition]:
     return multi_goal_gbdsr(q, [goal])
 
 
-def multi_goal_gbdsr(q: CubeQuery, goals: Sequence[Goal]
+def multi_goal_gbdsr(q: QueryOrEntry, goals: Sequence[Goal]
                      ) -> tuple[float, CoveragePartition]:
     """Relevance against the union of several goals' detailed signatures
-    (overlaps are not double-counted)."""
+    (overlaps are not double-counted). q's signature is read from the
+    entry, when q is one; the goals' are built per call."""
     if not goals:
         raise ValueError("at least one goal is required")
+    mine = as_entry(q)
     part = factored_partition(
-        condition_signature(q.condition, q.cube),
-        [condition_signature(g, q.cube) for g in goals])
+        mine.detailed_signature,
+        [condition_signature(g, mine.query.cube) for g in goals])
     return part.covered_fraction, part
 
 

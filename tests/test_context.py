@@ -217,6 +217,16 @@ def test_non_numeric_expected_value_is_malformed(tmp_path, pkdd_cube):
         load_expected_values(path, pkdd_cube)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_expected_value_is_malformed(tmp_path, pkdd_cube, value):
+    path = _expectations(tmp_path, "District,Month,measure,expected",
+                         "Olomouc,1996-09,Amt,20048",
+                         f"Olomouc,1996-10,Amt,{value}")
+    with pytest.raises(MalformedFactRow, match=rf"expected\.csv: row 3: "
+                       rf"expected is not finite: '{value}'"):
+        load_expected_values(path, pkdd_cube)
+
+
 def test_cli_reports_malformed_expectations(tmp_path, capsys):
     path = _expectations(tmp_path, "District,Month,measure,expected",
                          "Olomouc,1996-09,Amt,ten")

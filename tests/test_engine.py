@@ -22,6 +22,7 @@ from cubeinterest.engine import (
     evaluate,
     isin_sorted,
     load_facts,
+    pack_keys,
     query_signature_factored,
     selection_mask,
 )
@@ -258,18 +259,26 @@ def test_rollup_commutation(pkdd_cube, pkdd_query):
         assert res[key]["count(Amt)"] == len(values)
 
 
+def _row_keys(q) -> list:
+    """Sorted packed base-level keys of the fact rows `detailed_area_keys`
+    returns for q."""
+    cube = q.cube
+    return sorted(pack_keys(cube.coords[detailed_area_keys(q)],
+                            [d.size(d.base_level) for d in cube.dims]))
+
+
 def test_detailed_area_unfiltered_is_all_rows(tiny):
     q = qlang.parse_query("SELECT avg(Amt) BY Geo.Country", tiny)
     area = detailed_area(q)
     assert area.size == len(tiny)
-    assert sorted(area.packed_keys()) == sorted(detailed_area_keys(q))
+    assert sorted(area.packed_keys()) == _row_keys(q)
 
 
 def test_detailed_area_keys_equal_aggregated_area(pkdd_cube, pkdd_history):
-    # the mask-and-pack shortcut must agree with evaluate(detailed_proxy(q))
+    # the selected rows must be the cells of evaluate(detailed_proxy(q))
     for q in pkdd_history:
         area = detailed_area(q)
-        assert sorted(area.packed_keys()) == sorted(detailed_area_keys(q))
+        assert sorted(area.packed_keys()) == _row_keys(q)
 
 
 def test_detailed_area_containment_reference(pkdd_query, pkdd_history, pkdd_cube):
@@ -298,9 +307,12 @@ def test_factored_membership_matches_product(tiny):
         "Geo.City IN {Athens, Paris} AND Date.Year IN {1996}", tiny)
     sig = condition_signature(cond, tiny)
     product = set(itertools.product(*sig.sets))
+    geo, date = tiny.dims
     for city in range(4):
         for month in range(4):
-            assert sig.contains((city, month)) == ((city, month) in product)
+            selected = (geo.label_of("City", city) in ("Athens", "Paris")
+                        and date.label_of("Month", month).startswith("1996"))
+            assert ((city, month) in product) == selected
     assert sig.size == len(product)
 
 

@@ -350,8 +350,9 @@ def test_second_assessment_scans_the_query_alone(monkeypatch, star_cube):
         reports = [interestingness_vector(q, ctx)]
         calls.clear()
         reports.append(interestingness_vector(q, ctx))
-        # the query's own result and detailed area, and no history query
-        assert len(calls) == 2 and all(c is q for c in calls)
+        # the query's own rows, for its result and detailed area alike,
+        # and no history query
+        assert len(calls) == 1 and calls[0] is q
         return reports
 
     belief, _ = novelty.belief_novelty(q, ctx.beliefs, 0.5, "arbitrary")
@@ -372,6 +373,21 @@ def test_second_assessment_scans_the_query_alone(monkeypatch, star_cube):
     assert peculiarity.jaccard_peculiarity(
         HistoryEntry(q), ctx.history.entries, k=2) == \
         peculiarity.jaccard_peculiarity(q, history, k=2)
+
+
+def test_append_with_result_selects_the_entry_once(monkeypatch, star_cube):
+    """`append` selects a supplied result's rows while it checks the result,
+    so the next assessment selects the assessed query's rows alone."""
+    ctx, q = _star_session(star_cube)
+    interestingness_vector(q, ctx)
+    q2 = qlang.parse_query(QUERY.format(
+        "avg(Amt)", "Account.Region", "Date.Year IN {1997}"), star_cube)
+    ctx.history.append(q2, evaluate(q2))
+    calls = _count_scans(monkeypatch)
+    report = interestingness_vector(q, ctx)
+    assert len(calls) == 1 and calls[0] is q
+    for (group, key), value in _plain_scores(q, ctx).items():
+        assert report.scores[group][key] == value, (group, key)
 
 
 def test_one_profile_walk_per_history_result(monkeypatch, star_cube):

@@ -128,6 +128,56 @@ def test_non_numeric_measure_is_malformed(star, tmp_path):
         load_facts(path, dims)
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf"])
+def test_non_finite_measure_is_malformed(star, tmp_path, monkeypatch, value):
+    """A measure `float` parses but that is not finite is refused, naming
+    the file, the row (in a later chunk, blank rows counted) and the field."""
+    _, dims = star
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 3)
+    path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
+        "A0001,A,1996-01-01,10",
+        "",
+        "A0002,A,1996-01-02,10",
+        "A0003,A,1996-01-03,10",
+        f"A0004,A,1996-01-04,{value}",
+        "A0005,A,1996-01-05,10",
+    ])
+    with pytest.raises(MalformedFactRow, match=rf"facts\.csv: row 6: "
+                       rf"measure Amt is not finite: '{value}'"):
+        load_facts(path, dims)
+
+
+@pytest.mark.parametrize("bad_file", ["facts", "expected"])
+def test_cli_refuses_non_finite_numbers(star, tmp_path, capsys, bad_file):
+    """nan and inf in the facts, or nan in an expected value, exit 2 with
+    the row named, instead of scoring value surprise as nan."""
+    out, _ = star
+    lines = (out / "facts.csv").read_text(encoding="utf-8").splitlines()
+    expected = ["R1,Amt,1000", "R2,Amt,2000", "R3,Amt,3000"]
+    if bad_file == "facts":  # rows 2 and 3
+        for i, value in ((1, "nan"), (2, "inf")):
+            lines[i] = lines[i].rsplit(",", 1)[0] + f",{value}"
+    else:  # row 3
+        expected[1] = "R2,Amt,nan"
+    session = tmp_path / "session.txt"
+    session.write_text("SELECT sum(Amt) BY Account.District\n")
+    rc = main([
+        "assess",
+        "--schema", str(out / "schema"),
+        "--facts", str(_write(tmp_path / "facts.csv", lines[0], lines[1:])),
+        "--history", str(session),
+        "--expected", str(_write(tmp_path / "expected.csv",
+                                 "Region,measure,expected", expected)),
+        "--query", "SELECT sum(Amt) BY Account.Region",
+        "--out", str(tmp_path / "report.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    row = 2 if bad_file == "facts" else 3
+    assert err.startswith("error: ") and \
+        f"{bad_file}.csv: row {row}: " in err and "is not finite" in err
+
+
 @pytest.mark.parametrize("bad, row_no, what", [
     ("A9999,A,1996-01-05,10", 6, r"Account\.Account has no member 'A9999'"),
     ("A0005,Z,1996-01-05,10", 6, r"Status\.Status has no member 'Z'"),

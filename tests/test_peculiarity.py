@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cubeinterest.errors import (
     SchemaMismatch,
 )
 from cubeinterest.mdm import dimension_from_rows
+from cubeinterest.novelty import pden
 from cubeinterest.peculiarity import (
     AggregationSpec,
     PAIR_CAP,
@@ -299,6 +302,35 @@ def test_jaccard_matches_set_oracle_random():
             got = jaccard_detailed_distance(inst.q, qi)
             expected = oracles.jaccard_distance(inst.ocube, inst.q_spec, spec)
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_detailed_areas_compare_over_one_cube_object():
+    """Detailed areas are row ids, which compare only over one cube object:
+    a history query over a second cube built from the same dimensions,
+    coordinates and values is refused, and over one cube the row-id
+    metrics agree with the set oracle."""
+    for seed in range(25):
+        inst = build_instance(seed)
+        if not inst.history:
+            continue
+        cube = inst.cube
+        twin = DetailedCube(cube.dims, cube.measures, cube.coords, cube.values)
+        other = dataclasses.replace(inst.history[0], cube=twin)
+        for call in (lambda: pden(inst.q, [other]),
+                     lambda: jaccard_peculiarity(inst.q, [other]),
+                     lambda: jaccard_detailed_distance(inst.q, other)):
+            with pytest.raises(SchemaMismatch):
+                call()
+        distances = [oracles.jaccard_distance(inst.ocube, inst.q_spec, spec)
+                     for spec in inst.history_specs]
+        assert jaccard_peculiarity(inst.q, inst.history) == \
+            pytest.approx(min(distances), abs=1e-12)
+        for qi, expected in zip(inst.history, distances):
+            assert jaccard_detailed_distance(inst.q, qi) == \
+                pytest.approx(expected, abs=1e-12)
+        assert pden(inst.q, inst.history)[0] == pytest.approx(
+            oracles.pden(inst.ocube, inst.q_spec, inst.history_specs),
+            abs=1e-12)
 
 
 def test_query_distance_matches_oracle_random():
