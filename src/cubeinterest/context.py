@@ -163,12 +163,20 @@ class HistoryEntry:
     extensional metrics read these from the entries they are given; a bare
     query gets a fresh entry (`as_entry`) that lives for one call, so a
     plain call still scans.
+
+    The entry passed as q also keeps one probe per history entry (`hits`),
+    which every detailed extensional metric of the call reads. The harness
+    passes a fresh entry as q, so an assessment probes each history entry
+    once and the history's entries keep no probes.
     """
 
     query: CubeQuery
     result: CellSet | None = None
     session_id: str = "s0"
     seq: int = 0
+    # id(other) -> (other, hits(other)); holding `other` keeps its id unique
+    _hits: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -179,6 +187,21 @@ class HistoryEntry:
         if self.query.cube is not cube:
             raise SchemaMismatch("detailed areas compare over one cube only")
         return self.rows
+
+    def hits(self, other: "HistoryEntry") -> np.ndarray:
+        """One bool per row of this entry: True iff `other` selects it.
+
+        `other`'s rows are marked in a transient one-byte-per-fact-row
+        array, which is read at this entry's rows; the result is memoised
+        here, so each other entry is probed once in this entry's life.
+        Raises SchemaMismatch unless both are over one cube object.
+        """
+        memo = self._hits.get(id(other))
+        if memo is None:
+            marked = np.zeros(len(self.query.cube), dtype=bool)
+            marked[other.rows_over(self.query.cube)] = True
+            memo = self._hits[id(other)] = (other, marked[self.rows])
+        return memo[1]
 
     @cached_property
     def result_cells(self) -> CellSet:

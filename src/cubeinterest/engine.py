@@ -1,9 +1,11 @@
 """Fact cube storage, query evaluation, signatures and detailed areas.
 
 The detailed cube keeps its coordinates as dense base-level integer ids in
-one row-major int32 rows x dimensions array, plus float64 measure columns.
+one column-major int32 rows x dimensions array, so each dimension's ids are
+contiguous, plus float64 measure columns.
 Query evaluation is a vectorized filter -> rollup -> group -> aggregate
-pipeline. A query's detailed area is the ids of the fact rows it selects.
+pipeline; the filter reads one boolean member table per atom. A query's
+detailed area is the ids of the fact rows it selects.
 Signatures stay factored per dimension and are never enumerated:
 `FactoredSignature.covered_size` counts a union's overlap and
 `overlap_sizes` each box's.
@@ -87,7 +89,9 @@ class DetailedCube:
                  coords: np.ndarray, values: np.ndarray):
         self.dims = tuple(dims)
         self.measures = tuple(measures)
-        self.coords = np.ascontiguousarray(coords, dtype=np.int32)
+        # column-major: a filter or roll-up reads one dimension's ids, and
+        # only those
+        self.coords = np.asfortranarray(coords, dtype=np.int32)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         if self.coords.shape != (len(self), len(self.dims)):
             raise DimensionMismatch("coordinate matrix shape mismatch")
@@ -439,7 +443,7 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
             raise UnknownMeasure(f"{path}: no measure columns")
         dims = [by_base[header[c].lower()] for c in dim_cols]
         ids = [_MemberIds(d) for d in dims]
-        coord_parts = [np.empty((0, len(dims)), dtype=np.int32)]
+        coord_parts = [np.empty((len(dims), 0), dtype=np.int32)]  # dims x rows
         value_parts = [np.empty((0, len(measure_cols)), dtype=np.float64)]
         row_no = 1  # rows read so far, header included
         while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
@@ -456,7 +460,7 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
             try:
                 coord_parts.append(np.stack(
                     [np.fromiter(map(m.__getitem__, cols[c]), np.int32, count=n)
-                     for m, c in zip(ids, dim_cols)], axis=1))
+                     for m, c in zip(ids, dim_cols)]))
                 values = np.stack(
                     [np.fromiter(map(float, cols[c]), np.float64, count=n)
                      for c in measure_cols], axis=1)
@@ -478,7 +482,8 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
                                  f"is not finite: {row[c]!r}")
             value_parts.append(values)
     return DetailedCube(tuple(dims), tuple(header[c] for c in measure_cols),
-                        np.concatenate(coord_parts), np.concatenate(value_parts))
+                        np.concatenate(coord_parts, axis=1).T,
+                        np.concatenate(value_parts))
 
 
 # --- query operations -----------------------------------------------------------
@@ -537,16 +542,35 @@ def query_signature_factored(q: CubeQuery) -> FactoredSignature:
     return FactoredSignature(q.cube.dims, tuple(levels), tuple(sets))
 
 
+# Fact rows per block of `selection_mask`. `take` widens its int32 ids to
+# intp, so a block bounds that temporary at 256 KB instead of 8 bytes per
+# fact row, and the mask's block stays in cache for every atom.
+_MASK_BLOCK = 1 << 15
+
+
 def selection_mask(q: CubeQuery) -> np.ndarray:
-    """Boolean mask over fact rows selected by the query's condition."""
+    """Boolean mask over fact rows selected by the query's condition.
+
+    Each atom becomes one boolean member table over its dimension's base
+    ids (the atom's members at its level, read through the base-to-level
+    ancestor map), and the mask keeps the rows whose base ids every table
+    holds: one table lookup per row and atom, block by block. Tables are
+    built per call.
+    """
     cube = q.cube
-    mask = np.ones(len(cube), dtype=bool)
+    tables = []
     for atom in q.condition.atoms:
         j = cube.dim_index(atom.dimension)
         dim = cube.dims[j]
-        depth = dim.level(atom.level).depth
-        mapped = dim.ancestor_map(0, depth)[cube.coords[:, j]]
-        mask &= np.isin(mapped, np.array(sorted(atom.values), dtype=np.int32))
+        lv = dim.level(atom.level)
+        member = np.zeros(dim.size(lv), dtype=bool)
+        member[list(atom.values)] = True
+        tables.append((j, member.take(dim.ancestor_map(0, lv.depth))))
+    mask = np.ones(len(cube), dtype=bool)
+    for start in range(0, len(cube), _MASK_BLOCK):
+        block = slice(start, start + _MASK_BLOCK)
+        for j, table in tables:
+            mask[block] &= table.take(cube.coords[block, j])
     return mask
 
 
@@ -605,15 +629,6 @@ def detailed_area_keys(q: CubeQuery) -> np.ndarray:
     as fact coordinates are unique, in ids that compare only within one
     cube object."""
     return np.flatnonzero(selection_mask(q))
-
-
-def isin_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """One bool per key: True iff it occurs in `sorted_keys` (sorted,
-    unique), found by one binary-search probe per key."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
 
 
 def cell_distance(dims: tuple[Dimension, ...], a: Cell, b: Cell) -> float:

@@ -137,8 +137,10 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     query in an entry of its own and the history's entries, and read rows,
     results and detailed signatures from them. So an assessment selects
     the query's rows once, and an entry's rows are selected once in its
-    life, by `append` when it checks a supplied result. `pden` and `wdn`
-    are read from one `novelty.pden` partition, `fsdn` and `fdsr`
+    life, by `append` when it checks a supplied result. The query's entry
+    probes each history entry once (`HistoryEntry.hits`) for `pden`,
+    `pder` and `jaccard`. `pden` and `wdn` are read from one
+    `novelty.pden` partition, `fsdn` and `fdsr`
     (`1.0 - fsdn`) from one `novelty.fsdn` call, and `value_cr` and
     `value_hausdorff` from one `peculiarity.value_peculiarity` call.
     """
@@ -368,7 +370,7 @@ def generate_star_data(rows: int, seed: int) -> StarData:
         if len(picked) > rows:
             keep = rng.permutation(len(picked))[:rows]
             picked = picked[np.sort(keep)]
-    coords = np.empty((rows, 3), dtype=np.int32)
+    coords = np.empty((rows, 3), dtype=np.int32, order="F")
     coords[:, 2] = picked % n_days
     rest = picked // n_days
     coords[:, 1] = rest % len(STATUSES)

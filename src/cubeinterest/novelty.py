@@ -17,7 +17,8 @@ as a `CubeQuery` or a `context.HistoryEntry`, and read the rows, result
 cells and detailed signature from the entry. A bare query is wrapped in a
 fresh entry for the call, so a plain call selects each query's rows once.
 `harness.interestingness_vector` passes entries that memoise these values,
-so one assessment selects the fact rows of the query alone.
+so one assessment selects the fact rows of the query alone and probes each
+history entry's rows once (`HistoryEntry.hits`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .engine import (
     CubeQuery,
     FactoredSignature,
     detailed_area,
-    isin_sorted,
     pack_keys,
     query_signature_factored,
 )
@@ -205,18 +205,23 @@ def pden(q: QueryOrEntry, history: Sequence[QueryOrEntry]
     Detailed areas are selected fact rows (cube coordinates are unique), so
     this works on each entry's `rows`, which compare only over q's cube
     object (`HistoryEntry.rows_over`): a bare query's are selected once in
-    the call, an entry's once in its life. Each history query's rows are
-    probed once for q's, and the per-row hit counts give the covered count
-    and weight as exact integers.
+    the call, an entry's once in its life. q's rows are read against each
+    history entry through `HistoryEntry.hits`, whose probes q's entry
+    keeps for the other metrics of the call. The union of the hits gives
+    the covered count and the sum of their counts the weight, both exact
+    integers.
     """
     mine = as_entry(q)
-    hits = np.zeros(len(mine.rows), dtype=np.int64)
+    covered = np.zeros(len(mine.rows), dtype=bool)
+    weight = 0
     for h in history:
-        hits += isin_sorted(mine.rows, as_entry(h).rows_over(mine.query.cube))
-    total = len(hits)
-    cov = int(np.count_nonzero(hits))
+        hits = mine.hits(as_entry(h))
+        covered |= hits
+        weight += int(np.count_nonzero(hits))
+    total = len(covered)
+    cov = int(np.count_nonzero(covered))
     part = CoveragePartition(total, cov, total - cov,
-                             covered_weight=float(hits.sum()))
+                             covered_weight=float(weight))
     return part.novel_fraction, part
 
 

@@ -8,6 +8,8 @@ The cell distance depends only on the per-dimension depths of the cells'
 least common ancestors (LCA), so cells are never paired up: both sets are
 rolled up to each LCA-depth profile and matched as packed keys, both ways,
 by one sorted probe. One such walk per pair of results gives both scores.
+Detailed areas are fact row ids, and the Jaccard intersection with each
+member is counted from q's one probe of it (`HistoryEntry.hits`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .context import QueryOrEntry, as_entry
-from .engine import CellSet, CubeQuery, isin_sorted
+from .engine import CellSet, CubeQuery
 from .errors import (
     EmptyCollection,
     EmptyResult,
@@ -257,17 +259,13 @@ def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
 
 # --- Jaccard over detailed areas ---------------------------------------------
 
-def jaccard_detailed_distance(qa: CubeQuery, qb: CubeQuery) -> float:
+def jaccard_detailed_distance(qa: QueryOrEntry, qb: QueryOrEntry) -> float:
     """1 minus the Jaccard similarity of the two detailed areas, which must
-    be over one cube object; 0 when both areas are empty (identical)."""
-    return _jaccard_distance(as_entry(qa).rows,
-                             as_entry(qb).rows_over(qa.cube))
-
-
-def _jaccard_distance(ka: np.ndarray, kb: np.ndarray) -> float:
-    """Jaccard distance of two ascending row-id arrays."""
-    inter = int(np.count_nonzero(isin_sorted(ka, kb)))
-    union = len(ka) + len(kb) - inter
+    be over one cube object; 0 when both areas are empty (identical). The
+    intersection is counted from one probe, `HistoryEntry.hits`."""
+    mine, other = as_entry(qa), as_entry(qb)
+    inter = int(np.count_nonzero(mine.hits(other)))
+    union = len(mine.rows) + len(other.rows) - inter
     if union == 0:
         return 0.0
     return 1.0 - inter / union
@@ -279,13 +277,12 @@ def jaccard_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
     detailed areas of the collection (distances sorted ascending; ties keep
     collection order, which cannot change the returned value). The areas
     are the entries' rows, over q's cube object only; q and each bare query
-    are selected once."""
+    are selected once, and each member is probed once through q's entry
+    (`HistoryEntry.hits`), which reuses a probe an earlier metric made."""
     if not collection:
         raise EmptyCollection("peculiarity needs a non-empty query collection")
     if not 1 <= k <= len(collection):
         raise KOutOfRange(f"k={k} outside 1..{len(collection)}")
     mine = as_entry(q)
-    distances = sorted(
-        _jaccard_distance(mine.rows, as_entry(x).rows_over(mine.query.cube))
-        for x in collection)
+    distances = sorted(jaccard_detailed_distance(mine, x) for x in collection)
     return distances[k - 1]

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import build_instance, cellset_to_labels
+from conftest import build_instance, cellset_to_labels, spec_to_query
+from cubeinterest.context import HistoryEntry
 from cubeinterest.engine import (
     AtomicFilter,
     Cell,
@@ -20,7 +23,6 @@ from cubeinterest.engine import (
     detailed_proxy,
     detailed_signature,
     evaluate,
-    isin_sorted,
     load_facts,
     pack_keys,
     query_signature_factored,
@@ -37,7 +39,7 @@ from cubeinterest.harness import generate_star_data
 from cubeinterest.mdm import dimension_from_rows
 from cubeinterest.novelty import pden, pdsn
 from cubeinterest.peculiarity import query_distance_components
-from cubeinterest import qlang
+from cubeinterest import engine, qlang
 
 
 @pytest.fixture(scope="module")
@@ -291,15 +293,89 @@ def test_detailed_area_containment_reference(pkdd_query, pkdd_history, pkdd_cube
     assert set(detailed_area_keys(q2)) <= q1_keys
 
 
-def test_sorted_probe(pkdd_query, pkdd_history):
-    mine = detailed_area_keys(pkdd_query)
-    for qi in pkdd_history:
-        other = detailed_area_keys(qi)
-        assert isin_sorted(mine, other).tolist() == \
-            np.isin(mine, other).tolist()
-    assert not isin_sorted(mine, np.array([], dtype=np.int64)).any()
-    assert isin_sorted(np.array([9, 1, 5, 10]), np.array([2, 5, 9])).tolist() \
-        == [True, False, True, False]
+def test_entry_hits_match_isin(pkdd_query, pkdd_history, pkdd_cube):
+    """`HistoryEntry.hits` marks one bool per row of the entry, True iff
+    the other entry selects it, including against an empty selection and
+    a selection disjoint from q's; the probe is kept on the entry."""
+    empty = qlang.parse_query(
+        "SELECT avg(Amt) BY Account.District WHERE Account.Account IN {A1001}"
+        " AND Date.Day IN {1996-01-02}", pkdd_cube)
+    mine = HistoryEntry(pkdd_query)
+    others = [HistoryEntry(qi) for qi in [*pkdd_history, empty]]
+    assert others[-1].rows.size == 0
+    disjoint = [o for o in others
+                if o.rows.size and not np.isin(mine.rows, o.rows).any()]
+    assert disjoint  # the fixture history holds one (see the test above)
+    for other in others:
+        got = mine.hits(other)
+        assert got.dtype == bool and got.tolist() == \
+            np.isin(mine.rows, other.rows).tolist()
+        assert mine.hits(other) is got
+    assert not mine.hits(others[-1]).any()
+    assert not mine.hits(disjoint[0]).any()
+    assert not HistoryEntry(empty).hits(mine).size
+
+
+def test_selection_mask_matches_row_oracle():
+    """One member-table lookup per atom selects exactly the rows the
+    label-walk oracle matches: on each random micro-instance's queries and
+    on one atom at every level of every dimension, ALL included."""
+    for seed in range(100):
+        inst = build_instance(seed)
+        rnd = random.Random(seed)
+        specs = list(inst.specs)
+        first = inst.specs[0]
+        for odim in inst.ocube.dims:
+            for level in odim.levels:
+                labels = odim.members[level]
+                picked = rnd.sample(labels, rnd.randint(1, len(labels)))
+                specs.append(dataclasses.replace(
+                    first, atoms=((odim.name, level, frozenset(picked)),)))
+        for spec in specs:
+            expected = [oracles.row_matches(inst.ocube, spec, coords)
+                        for coords, _ in inst.ocube.rows]
+            got = selection_mask(spec_to_query(inst.cube, spec))
+            assert got.tolist() == expected, (seed, spec.atoms)
+
+
+@pytest.mark.parametrize("block", [None, 777])
+def test_selection_mask_star_every_level(monkeypatch, block):
+    """On the star cube: single atoms at every level of every dimension
+    (ALL included) with one, some and all members, random multi-atom
+    conditions and the empty condition agree with the rows whose base ids
+    lie in the atoms' base-level descendants (`desc_ids`), with the cube in
+    one block and in many blocks, the last one partial."""
+    if block is not None:
+        monkeypatch.setattr(engine, "_MASK_BLOCK", block)
+    cube = generate_star_data(20_000, 7).cube()
+    rnd = random.Random(3)
+    per_dim = []
+    for dim in cube.dims:
+        atoms = []
+        for lv in dim.levels:
+            n = dim.size(lv)
+            for k in sorted({1, max(1, n // 2), n}):
+                atoms.append(AtomicFilter(dim.name, lv.name, frozenset(
+                    rnd.sample(range(n), k))))
+        per_dim.append(atoms)
+
+    def expected(atoms):
+        mask = np.ones(len(cube), dtype=bool)
+        for a in atoms:
+            j = cube.dim_index(a.dimension)
+            dim = cube.dims[j]
+            base = dim.desc_ids(a.level, sorted(a.values), dim.base_level)
+            mask &= np.isin(cube.coords[:, j], base)
+        return mask
+
+    conditions = [()] + [(a,) for atoms in per_dim for a in atoms]
+    for _ in range(30):
+        dims = rnd.sample(range(len(cube.dims)), rnd.randint(2, len(cube.dims)))
+        conditions.append(tuple(rnd.choice(per_dim[j]) for j in dims))
+    for atoms in conditions:
+        q = CubeQuery(cube, SelectionCondition(atoms), cube.base_levels(),
+                      (("sum", "Amt"),))
+        assert np.array_equal(selection_mask(q), expected(atoms)), atoms
 
 
 def test_factored_membership_matches_product(tiny):

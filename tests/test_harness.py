@@ -5,7 +5,11 @@ import pytest
 
 from conftest import PKDD
 from cubeinterest.cli import main
-from cubeinterest.context import HistoryEntry, SessionContext
+from cubeinterest.context import (
+    HistoryEntry,
+    SessionContext,
+    filter_history_same_measures,
+)
 from cubeinterest.engine import CellSet, detailed_area_keys, evaluate
 from cubeinterest.errors import EmptyResult
 from cubeinterest.harness import (
@@ -340,6 +344,30 @@ def test_one_fsdn_call_per_assessment(monkeypatch, star_cube):
             calls.clear()
             interestingness_vector(q, ctx, AssessConfig(metrics=metrics))
             assert len(calls) == n
+
+
+def test_one_probe_per_history_entry(monkeypatch, star_cube):
+    """Same-measure `pden`, `pder` and Jaccard share one probe of each
+    history entry per assessment (each probe marks the entry's rows once),
+    and the history's entries keep no probes afterwards."""
+    ctx, q = _star_session(star_cube)
+    entries = ctx.history.entries
+    assert 0 < len(filter_history_same_measures(entries, q)) < len(entries)
+    marked = []
+    rows_over = HistoryEntry.rows_over
+
+    def counted(self, cube):
+        marked.append(self)
+        return rows_over(self, cube)
+
+    monkeypatch.setattr(HistoryEntry, "rows_over", counted)
+    for _ in range(2):
+        marked.clear()
+        report = interestingness_vector(q, ctx)
+        assert sorted(map(id, marked)) == sorted(map(id, entries))
+        assert not any(e._hits for e in entries)
+        assert report.scores["novelty"]["pden"] is not None
+        assert report.scores["peculiarity"]["jaccard"] is not None
 
 
 def test_second_assessment_scans_the_query_alone(monkeypatch, star_cube):

@@ -40,6 +40,7 @@ def test_round_trip_across_chunks(star):
     ref = generate_star_data(ROWS, SEED).cube()
     assert cube.measures == ("Amt",)
     assert cube.coords.dtype == ref.coords.dtype
+    assert cube.coords.flags.f_contiguous  # column-major, as built
     assert cube.values.dtype == ref.values.dtype
     assert cube.coords.tobytes() == ref.coords.tobytes()
     assert cube.values.tobytes() == ref.values.tobytes()
