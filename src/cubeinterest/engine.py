@@ -4,8 +4,9 @@ The detailed cube keeps its coordinates as dense base-level integer ids in
 one column-major int32 rows x dimensions array, so each dimension's ids are
 contiguous, plus float64 measure columns.
 Query evaluation is a vectorized filter -> rollup -> group -> aggregate
-pipeline; the filter reads one boolean member table per atom. A query's
-detailed area is the ids of the fact rows it selects.
+pipeline; its filter reads one `Dimension.desc_mask` table per atom. A query's
+detailed area is the fact rows it selects, its detailed cells the query at base
+levels, and its query signature its detailed signature rolled up.
 Signatures stay factored per dimension and are never enumerated:
 `FactoredSignature.covered_size` counts a union's overlap and
 `overlap_sizes` each box's.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -273,6 +274,13 @@ class FactoredSignature:
             n *= len(s)
         return n
 
+    def rolled_up(self, levels: Sequence[str]) -> "FactoredSignature":
+        """Each dimension's ids mapped up to `levels`, at or above its own."""
+        lvs = [d.level(lv) for d, lv in zip(self.dims, levels)]
+        sets = (np.unique(d.ancestor_map(d.level(own).depth, lv.depth)[ids])
+                for d, own, lv, ids in zip(self.dims, self.levels, lvs, self.sets))
+        return FactoredSignature(self.dims, tuple(lv.name for lv in lvs), tuple(sets))
+
     def overlap_sizes(self, others: Sequence["FactoredSignature"]) -> list[int]:
         """|self ∩ o| for every o in others.
 
@@ -491,13 +499,13 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
 def detailed_proxy(q: CubeQuery) -> CubeQuery:
     """Rewrite the query so its filter and groupers act at base levels.
 
-    The proxy selects exactly the fact rows the original filter selects.
-    """
+    The proxy selects exactly the fact rows the original filter selects; the
+    library itself evaluates the query at base levels (`detailed_area`)."""
     atoms = []
     for atom in q.condition.atoms:
         dim = q.cube.dim(atom.dimension)
         base = dim.base_level.name
-        ids = dim.desc_ids(atom.level, sorted(atom.values), base)
+        ids = dim.desc_ids(atom.level, atom.values, base)
         atoms.append(AtomicFilter(dim.name, base, frozenset(int(i) for i in ids)))
     return CubeQuery(
         cube=q.cube,
@@ -519,7 +527,7 @@ def condition_signature(condition: SelectionCondition,
         if atom is None:
             sets.append(np.arange(dim.size(base), dtype=np.int32))
         else:
-            sets.append(dim.desc_ids(atom.level, sorted(atom.values), base))
+            sets.append(dim.desc_ids(atom.level, atom.values, base))
     return FactoredSignature(cube.dims, cube.base_levels(), tuple(sets))
 
 
@@ -529,17 +537,9 @@ def detailed_signature(q: CubeQuery) -> FactoredSignature:
 
 
 def query_signature_factored(q: CubeQuery) -> FactoredSignature:
-    """The query signature as a factored product: the base-level signature
-    of the filter with each dimension mapped up to the query's grouper."""
-    detailed = condition_signature(q.condition, q.cube)
-    levels = []
-    sets = []
-    for dim, grouper, base_ids in zip(q.cube.dims, q.groupers, detailed.sets):
-        lv = dim.level(grouper)
-        levels.append(lv.name)
-        amap = dim.ancestor_map(0, lv.depth)
-        sets.append(np.unique(amap[base_ids]).astype(np.int32))
-    return FactoredSignature(q.cube.dims, tuple(levels), tuple(sets))
+    """The query signature as a factored product: the detailed signature
+    rolled up to the query's groupers."""
+    return detailed_signature(q).rolled_up(q.groupers)
 
 
 # Fact rows per block of `selection_mask`. `take` widens its int32 ids to
@@ -551,21 +551,17 @@ _MASK_BLOCK = 1 << 15
 def selection_mask(q: CubeQuery) -> np.ndarray:
     """Boolean mask over fact rows selected by the query's condition.
 
-    Each atom becomes one boolean member table over its dimension's base
-    ids (the atom's members at its level, read through the base-to-level
-    ancestor map), and the mask keeps the rows whose base ids every table
-    holds: one table lookup per row and atom, block by block. Tables are
-    built per call.
+    Each atom becomes one boolean table over its dimension's base ids
+    (`Dimension.desc_mask`), and the mask keeps the rows whose base ids
+    every table holds: one table lookup per row and atom, block by block.
+    Tables are built per call.
     """
     cube = q.cube
     tables = []
     for atom in q.condition.atoms:
         j = cube.dim_index(atom.dimension)
         dim = cube.dims[j]
-        lv = dim.level(atom.level)
-        member = np.zeros(dim.size(lv), dtype=bool)
-        member[list(atom.values)] = True
-        tables.append((j, member.take(dim.ancestor_map(0, lv.depth))))
+        tables.append((j, dim.desc_mask(atom.level, atom.values, dim.base_level)))
     mask = np.ones(len(cube), dtype=bool)
     for start in range(0, len(cube), _MASK_BLOCK):
         block = slice(start, start + _MASK_BLOCK)
@@ -619,9 +615,9 @@ def evaluate(q: CubeQuery, rows: np.ndarray | None = None) -> CellSet:
 
 
 def detailed_area(q: CubeQuery) -> CellSet:
-    """The base-level cells the query aggregates over: the evaluated
-    detailed proxy."""
-    return evaluate(detailed_proxy(q))
+    """The base-level cells the query aggregates over: the query evaluated
+    with base-level groupers, its condition selecting the rows."""
+    return evaluate(replace(q, groupers=q.cube.base_levels()))
 
 
 def detailed_area_keys(q: CubeQuery) -> np.ndarray:

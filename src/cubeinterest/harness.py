@@ -133,16 +133,16 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     relevance when a goal exists, else detailed extensional relevance;
     average syntactic peculiarity; normalized average value surprise.
 
-    The detailed and extensional metrics and goal relevance are given the
-    query in an entry of its own and the history's entries, and read rows,
-    results and detailed signatures from them. So an assessment selects
-    the query's rows once, and an entry's rows are selected once in its
-    life, by `append` when it checks a supplied result. The query's entry
-    probes each history entry once (`HistoryEntry.hits`) for `pden`,
-    `pder` and `jaccard`. `pden` and `wdn` are read from one
-    `novelty.pden` partition, `fsdn` and `fdsr`
-    (`1.0 - fsdn`) from one `novelty.fsdn` call, and `value_cr` and
-    `value_hausdorff` from one `peculiarity.value_peculiarity` call.
+    The detailed, extensional and same-level metrics and goal relevance get
+    the query in an entry of its own and the history's entries, and read
+    rows, results and detailed signatures from them. So an assessment
+    selects the query's rows and compiles its condition once; an entry's
+    rows are selected once in its life, by `append` when it checks a
+    supplied result, and its condition compiled once. The query's entry
+    probes each history entry once (`HistoryEntry.hits`) for `pden`, `pder`
+    and `jaccard`. `pden` and `wdn` are read from one `novelty.pden`
+    partition, `fsdn` and `fdsr` (`1.0 - fsdn`) from one `novelty.fsdn`
+    call, and `value_cr` and `value_hausdorff` from one `value_peculiarity` call.
     """
     from . import qlang
 
@@ -194,10 +194,10 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         else:
             group["gbdsr"] = None
         group["fsslr"] = timer.run(
-            "relevance.fsslr", relevance.same_level_relevance, q, history,
+            "relevance.fsslr", relevance.same_level_relevance, mine, entries,
             mode="full")
         group["psslr"] = timer.run(
-            "relevance.psslr", relevance.same_level_relevance, q, history,
+            "relevance.psslr", relevance.same_level_relevance, mine, entries,
             mode="partial")
         group["fdsr"] = 1.0 - fsdn
         group["pdsr"] = timer.run(

@@ -3,9 +3,8 @@
 Each dimension is a linear chain of levels, depth 0 being the finest and the
 synthesized top level ALL (single member ``all``) the coarsest. Members are
 interned to dense integer ids per (dimension, level); labels live in side
-tables. Rollup navigation (ancestors, descendants, least common ancestor,
-hop-count distances) is array-based so the cube engine can vectorize over
-fact columns.
+tables. Rollup navigation is array-based; descendants have one rule,
+`Dimension.desc_mask`, which selections, signatures and detailed areas read.
 """
 
 from __future__ import annotations
@@ -173,17 +172,24 @@ class Dimension:
         aid = int(self.ancestor_map(lv_from.depth, lv_to.depth)[member.id])
         return self.member_by_id(lv_to, aid)
 
-    def desc_ids(self, level: str | Level, ids, to_level: str | Level) -> np.ndarray:
-        """Sorted ids at to_level whose ancestor at `level` is in `ids`."""
-        lv_from = self.level(level)
-        lv_to = self.level(to_level)
+    def desc_mask(self, level: str | Level, ids, to_level: str | Level) -> np.ndarray:
+        """One bool per id at to_level, True iff its ancestor at `level` is in
+        `ids`: the member table at `level`, read through the ancestor map."""
+        lv_from, lv_to = self.level(level), self.level(to_level)
         if lv_to.depth > lv_from.depth:
             raise LevelAboveMember(
                 f"{lv_to.name} is above {lv_from.name} in {self.name}")
-        amap = self.ancestor_map(lv_to.depth, lv_from.depth)
-        ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids,
-                         dtype=np.int32)
-        return np.flatnonzero(np.isin(amap, ids)).astype(np.int32)
+        member = np.zeros(len(self._labels[lv_from.depth]), dtype=bool)
+        ids = list(ids)  # atoms hold a few ids: Python's min/max beat numpy's
+        if ids and (min(ids) < 0 or max(ids) >= len(member)):
+            bad = sorted({int(i) for i in ids if not 0 <= i < len(member)})
+            raise UnknownMember(f"{self.name}.{lv_from.name} has no member ids {bad}")
+        member[ids] = True
+        return member.take(self.ancestor_map(lv_to.depth, lv_from.depth))
+
+    def desc_ids(self, level: str | Level, ids, to_level: str | Level) -> np.ndarray:
+        """Ascending ids at to_level whose ancestor at `level` is in `ids`."""
+        return np.flatnonzero(self.desc_mask(level, ids, to_level)).astype(np.int32)
 
     def desc(self, member: Member, to_level: str | Level) -> list[Member]:
         lv_to = self.level(to_level)

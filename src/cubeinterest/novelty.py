@@ -37,7 +37,6 @@ from .engine import (
     FactoredSignature,
     detailed_area,
     pack_keys,
-    query_signature_factored,
 )
 from .errors import LevelMismatch
 from .mdm import Dimension
@@ -135,14 +134,15 @@ def same_level_partition(q: QueryOrEntry, others: Sequence[QueryOrEntry],
                          basis: str = "syntactic") -> CoveragePartition:
     """Coverage of q's same-level universe by pre-screened queries: the
     query signature's coordinates for the syntactic basis, the result cells
-    for the extensional one."""
+    for the extensional one, the former rolled up from each entry's detailed
+    signature, so an entry's condition compiles once in its life."""
     if basis not in ("syntactic", "extensional"):
         raise ValueError(f"unknown basis {basis!r}")
     mine, others = as_entry(q), [as_entry(o) for o in others]
     if basis == "syntactic":
         return factored_partition(
-            query_signature_factored(mine.query),
-            [query_signature_factored(o.query) for o in others])
+            mine.detailed_signature.rolled_up(mine.query.groupers),
+            [o.detailed_signature.rolled_up(o.query.groupers) for o in others])
     keys = mine.result_cells.packed_keys()
     hits = np.zeros(len(keys), dtype=np.int64)
     for o in others:

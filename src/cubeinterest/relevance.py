@@ -46,31 +46,32 @@ def multi_goal_gbdsr(q: QueryOrEntry, goals: Sequence[Goal]
     return part.covered_fraction, part
 
 
-def same_level_relevance(q: CubeQuery, beacons: Sequence[CubeQuery],
+def same_level_relevance(q: QueryOrEntry, beacons: Sequence[QueryOrEntry],
                          mode: str = "partial",
                          basis: str = "syntactic") -> float:
-    """Relevance of q against beacon queries defined at the same levels.
+    """Relevance of q against beacon queries or entries at the same levels.
 
     Raises LevelMismatch unless every beacon shares q's grouper levels; the
     same-level treatment is only meaningful on a homogeneous space.
     """
     if mode not in ("full", "partial"):
         raise ValueError(f"unknown mode {mode!r}")
-    mine = tuple(g.lower() for g in q.groupers)
-    for qi in beacons:
-        if tuple(g.lower() for g in qi.groupers) != mine:
+    mine, beacons = as_entry(q), [as_entry(b) for b in beacons]
+    levels = tuple(g.lower() for g in mine.query.groupers)
+    for b in beacons:
+        if tuple(g.lower() for g in b.query.groupers) != levels:
             raise LevelMismatch(
                 "same-level relevance needs all queries at the query's levels")
     if mode == "full":
-        return 0.0 if fslsn(q, beacons) else 1.0
+        return 0.0 if fslsn(mine.query, [b.query for b in beacons]) else 1.0
     # Aggregates are irrelevant to relevance; beacons only need filters
     # that respect the shared grouper levels for the comparison to hold.
-    if not _atoms_respect_groupers(q):
+    if not _atoms_respect_groupers(mine.query):
         return 0.0
-    eligible = [qi for qi in beacons if _atoms_respect_groupers(qi)]
+    eligible = [b for b in beacons if _atoms_respect_groupers(b.query)]
     if not eligible:
         return 0.0
-    return same_level_partition(q, eligible, basis=basis).covered_fraction
+    return same_level_partition(mine, eligible, basis=basis).covered_fraction
 
 
 def detailed_relevance(q: QueryOrEntry, history: Sequence[QueryOrEntry],

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_detailed_proxy_selects_same_rows(tiny):
         "SELECT sum(Amt) BY Geo.Country WHERE Date.Year IN {1996} "
         "AND Geo.Country IN {Greece}", tiny)
     assert np.array_equal(selection_mask(q), selection_mask(detailed_proxy(q)))
+
+
+def test_condition_signature_rejects_ids_outside_the_level(tiny):
+    """A hand-built condition is not checked against a cube, so the
+    signature checks its ids: one outside the level raises UnknownMember."""
+    for bad in (2, -1):
+        cond = SelectionCondition((AtomicFilter("Date", "Year", frozenset({0, bad})),))
+        with pytest.raises(UnknownMember, match=re.escape(f"ids [{bad}]")):
+            condition_signature(cond, tiny)
 
 
 def test_condition_signature_shapes(tiny):
@@ -261,6 +271,27 @@ def test_rollup_commutation(pkdd_cube, pkdd_query):
         assert res[key]["count(Amt)"] == len(values)
 
 
+def test_detailed_area_matches_evaluated_proxy(pkdd_cube):
+    """`detailed_area(q)` (q at base levels) gives the cells of the old path,
+    `evaluate(detailed_proxy(q))`: the same levels, coordinates in the same
+    order and every measure, for each aggregate function and for an empty
+    selection."""
+    aggs = ", ".join(f"{fn}(Amt)" for fn in engine.AGG_FUNCTIONS)
+    for where in ("Date.Year IN {1996} AND Status.Status IN {A, B}",
+                  "Account.District IN {Prague, Brno}",
+                  "Account.Account IN {A1001} AND Date.Day IN {1996-01-02}",
+                  None):
+        q = qlang.parse_query(f"SELECT {aggs} BY Account.District"
+                              + (f" WHERE {where}" if where else ""), pkdd_cube)
+        got, ref = detailed_area(q), evaluate(detailed_proxy(q))
+        assert got.levels == ref.levels == pkdd_cube.base_levels()
+        assert np.array_equal(got.coords, ref.coords)
+        assert list(got.measures) == list(ref.measures) == list(q.aggregate_labels())
+        for name, col in ref.measures.items():
+            assert np.array_equal(got.measures[name], col), (where, name)
+        assert (got.size == 0) == (where is not None and "A1001" in where)
+
+
 def _row_keys(q) -> list:
     """Sorted packed base-level keys of the fact rows `detailed_area_keys`
     returns for q."""
@@ -342,9 +373,9 @@ def test_selection_mask_matches_row_oracle():
 def test_selection_mask_star_every_level(monkeypatch, block):
     """On the star cube: single atoms at every level of every dimension
     (ALL included) with one, some and all members, random multi-atom
-    conditions and the empty condition agree with the rows whose base ids
-    lie in the atoms' base-level descendants (`desc_ids`), with the cube in
-    one block and in many blocks, the last one partial."""
+    conditions and the empty condition agree with the rows whose ancestor
+    at each atom's level is among the atom's values, with the cube in one
+    block and in many blocks, the last one partial."""
     if block is not None:
         monkeypatch.setattr(engine, "_MASK_BLOCK", block)
     cube = generate_star_data(20_000, 7).cube()
@@ -364,8 +395,8 @@ def test_selection_mask_star_every_level(monkeypatch, block):
         for a in atoms:
             j = cube.dim_index(a.dimension)
             dim = cube.dims[j]
-            base = dim.desc_ids(a.level, sorted(a.values), dim.base_level)
-            mask &= np.isin(cube.coords[:, j], base)
+            up = dim.ancestor_map(0, dim.level(a.level).depth)[cube.coords[:, j]]
+            mask &= np.isin(up, list(a.values))
         return mask
 
     conditions = [()] + [(a,) for atoms in per_dim for a in atoms]

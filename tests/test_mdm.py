@@ -1,3 +1,7 @@
+import random
+import re
+
+import numpy as np
 import pytest
 
 from cubeinterest.errors import (
@@ -8,6 +12,7 @@ from cubeinterest.errors import (
     LevelNotInDimension,
     UnknownMember,
 )
+from cubeinterest.harness import generate_star_data
 from cubeinterest.mdm import dimension_from_rows, load_dimension
 
 
@@ -151,3 +156,40 @@ def test_three_row_direct_construction():
 def test_unknown_member(geo_dimension):
     with pytest.raises(UnknownMember):
         geo_dimension.member("City", "Atlantis")
+
+
+@pytest.fixture(scope="module")
+def star_dims():
+    return generate_star_data(2000, 7).cube().dims
+
+
+def test_desc_ids_match_anc_walk(star_dims):
+    """`desc_ids` agrees with a brute-force walk through `Dimension.anc` for
+    every (level, to_level) pair of the star dimensions, ALL and identity
+    included, with one, some and all ids at the upper level."""
+    rnd = random.Random(5)
+    for dim in star_dims:
+        for hi in dim.levels:
+            n = dim.size(hi)
+            picks = [rnd.sample(range(n), k) for k in sorted({1, max(1, n // 3), n})]
+            for lo in dim.levels[:hi.depth + 1]:
+                anc = [dim.anc(m, hi).id for m in dim.members(lo)]
+                for ids in picks:
+                    wanted = set(ids)
+                    expected = [i for i, a in enumerate(anc) if a in wanted]
+                    got = dim.desc_ids(hi, ids, lo)
+                    assert got.dtype == np.int32
+                    assert got.tolist() == expected, (dim.name, hi, lo, len(ids))
+
+
+@pytest.mark.parametrize("ids", [[99], [-1], [0, 5], [2, -3, 7]])
+def test_desc_ids_rejects_ids_outside_the_level(star_dims, ids):
+    """An id outside the level raises UnknownMember naming it, rather than
+    selecting nothing or, for a negative id, the last member's descendants."""
+    date = next(d for d in star_dims if d.name == "Date")
+    assert date.size("Year") == 5
+    bad = sorted(i for i in ids if not 0 <= i < 5)
+    with pytest.raises(UnknownMember, match=re.escape(str(bad))):
+        date.desc_ids("Year", ids, "Day")
+    with pytest.raises(UnknownMember):
+        date.desc_mask("Year", ids, "Month")

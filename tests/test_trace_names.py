@@ -11,6 +11,7 @@ import pkgutil
 from pathlib import Path
 
 import cubeinterest
+from conftest import PKDD
 from cubeinterest.harness import interestingness_vector
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -68,3 +69,31 @@ def test_assessment_times_every_failure_key(pkdd_context, pkdd_query):
     assert keys
     timed = interestingness_vector(pkdd_query, pkdd_context).timings_ms
     assert [k for k in keys if k not in timed] == []
+
+
+def test_second_assessment_compiles_only_the_query_and_goals(monkeypatch,
+                                                             pkdd_context,
+                                                             pkdd_query):
+    """Entries keep their detailed signatures and the query signatures are
+    rolled up from them, so against a history already assessed once, an
+    assessment compiles q's condition and each goal's, and no query
+    signature from scratch. The history's queries share q's levels, so the
+    same-level metrics have entries to compare."""
+    pkdd_context.load_goal_file(PKDD / "goal.txt")
+    pkdd_context.goals.append(pkdd_context.goals[0])
+    interestingness_vector(pkdd_query, pkdd_context)
+    tracer = _spans(monkeypatch).Tracer()
+    tracer.begin("assess")
+    tracer.install()
+    try:
+        report = interestingness_vector(pkdd_query, pkdd_context)
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+
+    def calls(name):
+        return table.get(("assess", name), {}).get("calls", 0)
+
+    assert report.scores["relevance"]["psslr"] is not None
+    assert calls("engine.condition_signature") == 1 + len(pkdd_context.goals) == 3
+    assert calls("engine.query_signature_factored") == 0
