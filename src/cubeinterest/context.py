@@ -378,9 +378,9 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
     return out
 
 
-def _lines(path: str | Path) -> Iterator[str]:
-    """The stripped lines of a text file, without blank and `#` lines."""
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+def _lines(text: str) -> Iterator[str]:
+    """The stripped lines of a text, without blank and `#` lines."""
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             yield line
@@ -409,19 +409,19 @@ class SessionContext:
         from . import qlang
 
         sid = session_id or Path(path).stem
-        for line in _lines(path):
+        for line in _lines(Path(path).read_text(encoding="utf-8")):
             self.history.append(qlang.parse_query(line, self.cube), session_id=sid)
 
     def load_belief_file(self, path: str | Path):
         from . import qlang
 
-        for line in _lines(path):
+        for line in _lines(Path(path).read_text(encoding="utf-8")):
             self.beliefs.add(qlang.parse_belief(line, self.cube))
 
     def load_goal_file(self, path: str | Path):
         from . import qlang
 
-        for line in _lines(path):
+        for line in _lines(Path(path).read_text(encoding="utf-8")):
             self.goals.append(qlang.parse_condition(line, self.cube))
 
     def load_label_rules(self, path: str | Path):

@@ -145,7 +145,10 @@ class CubeQuery:
 
     `groupers` holds one level name per cube dimension (ALL drops the
     dimension from the grouping); `aggregates` is a tuple of
-    (function, base measure) pairs.
+    (function, base measure) pairs. Names are matched in any case and
+    stored as the schema spells them (dimension, level and measure names),
+    so two queries that define the same cube compare equal, print alike
+    and name their result columns alike.
     """
 
     cube: DetailedCube
@@ -154,27 +157,35 @@ class CubeQuery:
     aggregates: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if len(self.groupers) != len(self.cube.dims):
+        cube = self.cube
+        if len(self.groupers) != len(cube.dims):
             raise DimensionMismatch(
                 f"query has {len(self.groupers)} groupers for "
-                f"{len(self.cube.dims)} dimensions")
-        for dim, g in zip(self.cube.dims, self.groupers):
+                f"{len(cube.dims)} dimensions")
+        for dim, g in zip(cube.dims, self.groupers):
             if not dim.has_level(g):
                 raise UnknownLevel(f"{dim.name} has no level {g!r}")
         if not self.aggregates:
             raise UnknownMeasure("query declares no aggregates")
-        for fn, m in self.aggregates:
+        for fn, _ in self.aggregates:
             if fn not in AGG_FUNCTIONS:
                 raise UnknownMeasure(f"unknown aggregate function {fn!r}")
-            self.cube.measure_index(m)
+        atoms = []
         for atom in self.condition.atoms:
-            dim = self.cube.dim(atom.dimension)
+            dim = cube.dim(atom.dimension)
             lv = dim.level(atom.level)
             top = dim.size(lv)
             for v in atom.values:
                 if not 0 <= v < top:
                     raise UnknownMember(
                         f"atom on {dim.name}.{lv.name} holds bad member id {v}")
+            atoms.append(AtomicFilter(dim.name, lv.name, atom.values))
+        object.__setattr__(self, "condition", SelectionCondition(tuple(atoms)))
+        object.__setattr__(self, "groupers", tuple(
+            dim.level(g).name for dim, g in zip(cube.dims, self.groupers)))
+        object.__setattr__(self, "aggregates", tuple(
+            (fn, cube.measures[cube.measure_index(m)])
+            for fn, m in self.aggregates))
 
     def grouper_for(self, dimension: str) -> str:
         return self.groupers[self.cube.dim_index(dimension)]
@@ -186,16 +197,9 @@ class CubeQuery:
                 self.cube.dims != other.cube.dims
                 or self.cube.measures != other.cube.measures):
             return False
-        if tuple(g.lower() for g in self.groupers) != tuple(
-                g.lower() for g in other.groupers):
-            return False
-        mine = {(a.dimension.lower(), a.level.lower(), a.values)
-                for a in self.condition.atoms}
-        theirs = {(a.dimension.lower(), a.level.lower(), a.values)
-                  for a in other.condition.atoms}
-        if mine != theirs:
-            return False
-        return sorted(self.aggregates) == sorted(other.aggregates)
+        return (self.condition == other.condition
+                and self.groupers == other.groupers
+                and sorted(self.aggregates) == sorted(other.aggregates))
 
     def aggregate_labels(self) -> tuple[str, ...]:
         return tuple(f"{fn}({m})" for fn, m in self.aggregates)

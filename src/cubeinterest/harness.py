@@ -34,23 +34,22 @@ from .errors import (
     MetricComputationError,
 )
 from .mdm import Dimension, dimension_from_rows
-from .peculiarity import AggregationSpec, DEFAULT_WEIGHTS, DistanceWeights
-from .surprise import DEFAULT_CONFIG, SurpriseConfig
+from .peculiarity import DEFAULT_WEIGHTS, DistanceWeights
 
 METRIC_GROUPS = ("novelty", "relevance", "peculiarity", "surprise")
 
 
 @dataclass(frozen=True)
 class AssessConfig:
-    """Knobs of the assessment vector."""
+    """Knobs of the assessment vector: the belief confidence threshold
+    `pi`, the neighbours `jaccard_k` of Jaccard peculiarity, the syntactic
+    distance `weights` and the metric groups to score. Every other choice
+    is the metric's default: average peculiarity aggregation, arbitrary
+    belief novelty, and max-then-mean surprise folds."""
 
     pi: float = 0.5
     jaccard_k: int = 2
     weights: DistanceWeights = DEFAULT_WEIGHTS
-    syntactic_agg: AggregationSpec = AggregationSpec("average")
-    value_agg: AggregationSpec = AggregationSpec("average")
-    belief_mode: str = "arbitrary"
-    surprise_cfg: SurpriseConfig = DEFAULT_CONFIG
     metrics: tuple[str, ...] = METRIC_GROUPS
 
     def to_dict(self) -> dict:
@@ -62,11 +61,6 @@ class AssessConfig:
                 "levels": self.weights.w_levels,
                 "measures": self.weights.w_measures,
             },
-            "syntactic_agg": self.syntactic_agg.kind,
-            "value_agg": self.value_agg.kind,
-            "belief_mode": self.belief_mode,
-            "surprise_cell_agg": self.surprise_cfg.cell_agg,
-            "surprise_cube_agg": self.surprise_cfg.cube_agg,
             "metrics": list(self.metrics),
         }
 
@@ -174,9 +168,9 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         if len(ctx.beliefs):
             score, part = timer.run(
                 "novelty.belief", novelty.belief_novelty, mine, ctx.beliefs,
-                cfg.pi, cfg.belief_mode)
+                cfg.pi)
             group["belief"] = {
-                "mode": cfg.belief_mode,
+                "mode": "arbitrary",
                 "pi": cfg.pi,
                 "score": score,
                 "skipped_statements": part.skipped_statements,
@@ -214,21 +208,21 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         if history:
             group["syntactic"] = timer.run(
                 "peculiarity.syntactic", peculiarity.syntactic_peculiarity,
-                q, history, cfg.syntactic_agg, cfg.weights)
+                q, history, weights=cfg.weights)
             # timed and failed under value_cr, the key the benchmark counts
             group["value_cr"], group["value_hausdorff"] = timer.run(
                 "peculiarity.value_cr", peculiarity.value_peculiarity,
-                mine, entries, cfg.value_agg) or (None, None)
+                mine, entries) or (None, None)
             k = min(cfg.jaccard_k, len(history))
             group["jaccard"] = timer.run(
                 "peculiarity.jaccard", peculiarity.jaccard_peculiarity,
                 mine, entries, k=k)
-            group["agg"] = cfg.syntactic_agg.kind
+            group["agg"] = "average"
             group["jaccard_k"] = k
         else:
             group = {"syntactic": None, "value_cr": None,
                      "value_hausdorff": None, "jaccard": None,
-                     "agg": cfg.syntactic_agg.kind, "jaccard_k": cfg.jaccard_k}
+                     "agg": "average", "jaccard_k": cfg.jaccard_k}
         group["headline"] = group["syntactic"]
         scores["peculiarity"] = group
 
@@ -238,7 +232,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         has_values = len(ctx.expected_values) > 0
         group["value"] = timer.run(
             "surprise.value", surprise.value_surprise, result,
-            ctx.expected_values, cfg.surprise_cfg) if has_values else None
+            ctx.expected_values) if has_values else None
         if has_values and len(q.aggregates) == 1:
             group["value_avg_norm"] = timer.run(
                 "surprise.value_avg_norm", surprise.normalized_value_surprise,
@@ -249,17 +243,14 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             s.kind in ("set", "interval") for s in ctx.beliefs)
         group["prob_exact"] = timer.run(
             "surprise.prob_exact", surprise.cube_probability_surprise,
-            result, ctx.beliefs, "exact",
-            cfg.surprise_cfg) if has_value_beliefs else None
+            result, ctx.beliefs, "exact") if has_value_beliefs else None
         group["prob_interval"] = timer.run(
             "surprise.prob_interval", surprise.cube_probability_surprise,
-            result, ctx.beliefs, "interval",
-            cfg.surprise_cfg) if has_value_beliefs else None
+            result, ctx.beliefs, "interval") if has_value_beliefs else None
         has_labels = len(ctx.expected_labels) > 0 and ctx.labeling_schemes
         group["label"] = timer.run(
             "surprise.label", surprise.label_surprise, result,
-            ctx.expected_labels, ctx.labeling_schemes,
-            cfg=cfg.surprise_cfg) if has_labels else None
+            ctx.expected_labels, ctx.labeling_schemes) if has_labels else None
         group["label_strict"] = timer.run(
             "surprise.label_strict", surprise.strict_label_surprise, result,
             ctx.expected_labels, ctx.labeling_schemes) if has_labels else None
@@ -268,14 +259,13 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             group["label_prob_strict"] = timer.run(
                 "surprise.label_prob_strict",
                 surprise.cube_prob_label_surprise, result, ctx.beliefs,
-                ctx.labeling_schemes, "strict", cfg=cfg.surprise_cfg)
+                ctx.labeling_schemes, "strict")
             domain = ctx.label_domain
             if domain is not None and domain.kind != "nominal":
                 group["label_prob_loose"] = timer.run(
                     "surprise.label_prob_loose",
                     surprise.cube_prob_label_surprise, result, ctx.beliefs,
-                    ctx.labeling_schemes, "loose", domain,
-                    cfg=cfg.surprise_cfg)
+                    ctx.labeling_schemes, "loose", domain)
             else:
                 group["label_prob_loose"] = None
         else:

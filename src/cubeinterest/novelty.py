@@ -24,7 +24,7 @@ history entry's rows once (`HistoryEntry.hits`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .engine import (
     CellSet,
     CubeQuery,
     FactoredSignature,
-    detailed_area,
+    evaluate,
     pack_keys,
 )
 from .errors import LevelMismatch
@@ -119,8 +119,7 @@ def comparable_same_level(q: CubeQuery,
     target = sorted(q.aggregates)
     out = []
     for i, qi in enumerate(history):
-        if tuple(g.lower() for g in qi.groupers) != tuple(
-                g.lower() for g in q.groupers):
+        if qi.groupers != q.groupers:
             continue
         if sorted(qi.aggregates) != target:
             continue
@@ -237,15 +236,17 @@ def belief_novelty(q: QueryOrEntry, beliefs: BeliefStore, pi: float,
     against base-level anchors; `arbitrary` admits anchors at levels at or
     below the query's. Coverage is `covered_cells` in every mode.
     Statements anchored at ineligible levels are skipped and counted in the
-    partition's diagnostics. The result cells come from the entry, when
-    q is one.
+    partition's diagnostics. The result cells, and the fact rows the
+    detailed cells aggregate, come from the entry, when q is one.
     """
     if mode not in ("same_level", "detailed", "arbitrary"):
         raise ValueError(f"unknown belief novelty mode {mode!r}")
     mine = as_entry(q)
     cube = mine.query.cube
     star = known_cells(beliefs, pi)
-    cells = detailed_area(mine.query) if mode == "detailed" else mine.result_cells
+    cells = (evaluate(replace(mine.query, groupers=cube.base_levels()),
+                      mine.rows)
+             if mode == "detailed" else mine.result_cells)
     depths = [d.level(lv).depth for d, lv in zip(cube.dims, cells.levels)]
     admits = operator.le if mode == "arbitrary" else operator.eq
     eligible = [a for a in star

@@ -19,7 +19,7 @@ every accepted input.
 
 from __future__ import annotations
 
-from .context import BeliefStatement, ValueInterval, _num
+from .context import BeliefStatement, ValueInterval, _lines, _num
 from .engine import (
     AGG_FUNCTIONS,
     AtomicFilter,
@@ -33,6 +33,7 @@ from .errors import (
     ProbabilityOutOfRange,
     UnknownIdentifier,
     UnknownLevel,
+    UnknownMember,
 )
 from .mdm import ALL_LEVEL, Dimension
 
@@ -204,7 +205,7 @@ def _resolve_measure(cube: DetailedCube, tok: Token) -> str:
 def _resolve_member(dim: Dimension, level: str, tok: Token) -> int:
     try:
         return dim.member(level, tok.text).id
-    except Exception:
+    except UnknownMember:
         raise UnknownIdentifier(
             f"{dim.name}.{level} has no member {tok.text!r}", tok.pos) from None
 
@@ -402,11 +403,8 @@ def parse_label_rules(text: str, strict_coverage: bool = False):
 
     per_measure: dict[str, list[tuple[ValueInterval, str]]] = {}
     order: list[str] | None = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        p = _Parser(stripped)
+    for line in _lines(text):
+        p = _Parser(line)
         if p.cur.kind == "word" and p.cur.text.lower() == "order":
             p.advance()
             labels = [p.expect("word", expected="label name").text]

@@ -57,9 +57,8 @@ def same_level_relevance(q: QueryOrEntry, beacons: Sequence[QueryOrEntry],
     if mode not in ("full", "partial"):
         raise ValueError(f"unknown mode {mode!r}")
     mine, beacons = as_entry(q), [as_entry(b) for b in beacons]
-    levels = tuple(g.lower() for g in mine.query.groupers)
     for b in beacons:
-        if tuple(g.lower() for g in b.query.groupers) != levels:
+        if b.query.groupers != mine.query.groupers:
             raise LevelMismatch(
                 "same-level relevance needs all queries at the query's levels")
     if mode == "full":

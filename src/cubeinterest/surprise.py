@@ -8,9 +8,11 @@ loose, where the loose weight of a label is its distance from the actual
 one). Cells without a registered expectation are excluded rather than
 failed; a cube with no matching cell at all reports None (not assessable).
 
-Every cube-level score walks the result once (`_walk`): it reads each
-cell's values by column and resolves each expectation's measure name to a
-result column once per call, at its first use.
+An expectation on measure `name` scores the result columns of one rule,
+`_measure_columns`: the column called `name`, else every column that
+aggregates `name`, so one on `Amt` scores `min(Amt)` and `sum(Amt)` and
+`cell_agg` folds both. Every score walks the result once (`_walk`),
+resolving each name once per call.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ def _aggregate(kind: str, values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class SurpriseConfig:
-    """Aggregation choices: `cell_agg` folds one cell's per-measure scores,
-    `cube_agg` folds the per-cell scores."""
+    """Aggregation choices: `cell_agg` folds one cell's scores, one per
+    expectation and result column it scores, `cube_agg` the per-cell
+    scores."""
 
     cell_agg: str = "max"
     cube_agg: str = "mean"
@@ -74,10 +77,6 @@ class SurpriseConfig:
 
 
 DEFAULT_CONFIG = SurpriseConfig()
-
-
-def _abs_distance(actual: float, expected: float) -> float:
-    return abs(actual - expected)
 
 
 # --- labeling -----------------------------------------------------------------
@@ -144,37 +143,30 @@ class LabelDomain:
 
 # --- measure resolution ----------------------------------------------------------
 
-def _resolve_measure_column(columns: Iterable[str], name: str) -> str | None:
-    """Match an expectation's measure name against a result's aggregate
-    columns: exact column name first, else the unique column aggregating
-    that base measure."""
-    cols = list(columns)
-    for c in cols:
-        if c.lower() == name.lower():
-            return c
-    hits = [c for c in cols
-            if "(" in c and c[c.index("(") + 1:-1].lower() == name.lower()]
-    if len(hits) > 1:
-        raise UnknownMeasure(
-            f"measure {name!r} is ambiguous among result columns {hits}")
-    return hits[0] if hits else None
+def _measure_columns(columns: Mapping[str, object], name: str) -> list[str]:
+    """The result columns an expectation on measure `name` scores: the
+    column called `name` (any case) if there is one, else every column
+    that aggregates base measure `name` (any case)."""
+    key = name.lower()
+    exact = [c for c in columns if c.lower() == key]
+    return exact[:1] or [c for c in columns if c.lower().endswith(f"({key})")]
 
 
 # --- the walk over a result -----------------------------------------------------
 
 def _matches(entries: Mapping[str, object],
              measures: Mapping[str, Sequence[float]],
-             resolved: dict[str, Sequence[float] | None],
+             resolved: dict[str, list[Sequence[float]]],
              row: int) -> Iterator[tuple[str, object, float]]:
-    """(measure name, payload, actual value at `row`) for each entry whose
-    measure name has a column in `measures`, in entry order. `resolved`
-    keeps each name's column (or None), so a name is resolved once."""
+    """(measure name, payload, actual value at `row`) for each entry and
+    each column of `measures` its name scores (`_measure_columns`), in
+    entry order. `resolved` keeps each name's columns, so a name is
+    resolved once."""
     for name, payload in entries.items():
         if name not in resolved:
-            col = _resolve_measure_column(measures, name)
-            resolved[name] = None if col is None else measures[col]
-        values = resolved[name]
-        if values is not None:
+            resolved[name] = [measures[c]
+                              for c in _measure_columns(measures, name)]
+        for values in resolved[name]:
             yield name, payload, float(values[row])
 
 
@@ -184,7 +176,7 @@ def _walk(cells: CellSet, lookup: Callable[[Anchor], Mapping[str, object]]
     anchor `lookup` maps to a non-empty {measure name: payload}, the
     `_matches` of those entries at the cell."""
     measures = {name: values.tolist() for name, values in cells.measures.items()}
-    resolved: dict[str, Sequence[float] | None] = {}
+    resolved: dict[str, list[Sequence[float]]] = {}
     for row, ids in enumerate(cells.coords.tolist()):
         entries = lookup(tuple(zip(cells.levels, ids)))
         if entries:
@@ -193,7 +185,7 @@ def _walk(cells: CellSet, lookup: Callable[[Anchor], Mapping[str, object]]
 
 def _fold(cell_scores: Iterable[list[float]],
           cfg: SurpriseConfig) -> float | None:
-    """`cell_agg` over each cell's per-measure scores, skipping cells with
+    """`cell_agg` over each cell's per-column scores, skipping cells with
     none, then `cube_agg` over the cells; None when no cell scored."""
     scores = [_aggregate(cfg.cell_agg, s) for s in cell_scores if s]
     return _aggregate(cfg.cube_agg, scores) if scores else None
@@ -213,67 +205,52 @@ def _statements_by_measure(beliefs: BeliefStore, kinds: tuple[str, ...]
 
 # --- value-based surprise ----------------------------------------------------------
 
-def _value_gaps(matches: Iterable[tuple[str, object, float]],
-                distance: Callable[[float, float], float]) -> list[float]:
-    return [distance(actual, float(exp)) for _, exp, actual in matches]
+def _value_gaps(matches: Iterable[tuple[str, object, float]]) -> list[float]:
+    """The absolute gap between actual and expected value of each match."""
+    return [abs(actual - float(exp)) for _, exp, actual in matches]
 
 
 def cell_value_surprise(cell_measures: Mapping[str, float],
                         expected: Mapping[str, float],
-                        distance: Callable[[float, float], float] = _abs_distance,
                         cell_agg: str = "max") -> float:
-    """Surprise of one cell: per-measure distance between actual and
-    expected values, folded by `cell_agg`. Measures without an expected
-    value are excluded; raises NoExpectedValues when none matches."""
+    """Surprise of one cell: the absolute gap between actual and expected
+    value of each column an expected value scores, folded by `cell_agg`.
+    Measures without an expected value are excluded; raises
+    NoExpectedValues when none matches."""
     measures = {name: (value,) for name, value in cell_measures.items()}
-    gaps = _value_gaps(_matches(expected, measures, {}, 0), distance)
+    gaps = _value_gaps(_matches(expected, measures, {}, 0))
     if not gaps:
         raise NoExpectedValues("no measure of the cell has an expected value")
     return _aggregate(cell_agg, gaps)
 
 
 def value_surprise(cells: CellSet, expected: ExpectedValues,
-                   cfg: SurpriseConfig = DEFAULT_CONFIG,
-                   distance: Callable[[float, float], float] = _abs_distance
-                   ) -> float | None:
-    """Cube-level value surprise under the configured aggregations; None
-    when no cell has a registered expectation."""
-    return _fold((_value_gaps(m, distance)
-                  for m in _walk(cells, expected.lookup)), cfg)
+                   cfg: SurpriseConfig = DEFAULT_CONFIG) -> float | None:
+    """Cube-level value surprise: per cell, the absolute gaps of every
+    column an expected value scores, folded by the configured
+    aggregations; None when no cell has a registered expectation."""
+    return _fold((_value_gaps(m) for m in _walk(cells, expected.lookup)), cfg)
 
 
 def normalized_value_surprise(cells: CellSet, expected: ExpectedValues,
                               measure: str | None = None) -> float | None:
-    """Average absolute distance between actual and expected values of one
-    measure, min-max normalized over the matched cells' distances.
+    """Average absolute gap between actual and expected values of one
+    result column, min-max normalized over the matched gaps.
 
-    Returns (avg - min) / (max - min), 0 when all matched distances are
-    equal, None when no cell matched.
+    The column is the result's only one, or the one `measure` names under
+    `_measure_columns`; anything but exactly one column raises
+    UnknownMeasure. Every expectation at a cell that scores the column
+    gives one gap, as in `value_surprise`. Returns (avg - min) /
+    (max - min), 0 when all gaps are equal, None when no cell matched.
     """
-    if measure is None:
-        if len(cells.measures) != 1:
-            raise UnknownMeasure(
-                "normalized value surprise needs a single measure; "
-                f"result has {sorted(cells.measures)}")
-        column = next(iter(cells.measures))
-    else:
-        column = _resolve_measure_column(cells.measures, measure)
-        if column is None:
-            raise UnknownMeasure(f"result has no measure {measure!r}")
-    base = column[column.index("(") + 1:-1] if "(" in column else column
-
-    def lookup(anchor: Anchor) -> dict[str, float]:
-        exp = expected.lookup(anchor)
-        for name in (column, base):
-            if name in exp:
-                return {column: exp[name]}
-            hits = [k for k in exp if k.lower() == name.lower()]
-            if hits:
-                return {column: exp[hits[0]]}
-        return {}
-
-    dists = [abs(actual - float(value))
-             for m in _walk(cells, lookup) for _, value, actual in m]
+    columns = list(cells.measures) if measure is None else _measure_columns(
+        cells.measures, measure)
+    if len(columns) != 1:
+        raise UnknownMeasure(
+            f"normalized value surprise needs one result column, got {columns}")
+    one = CellSet(cells.dims, cells.levels, cells.coords,
+                  {columns[0]: cells.measures[columns[0]]})
+    dists = [d for m in _walk(one, expected.lookup) for d in _value_gaps(m)]
     if not dists:
         return None
     lo, hi = min(dists), max(dists)
@@ -399,7 +376,7 @@ def cube_prob_label_surprise(cells: CellSet, beliefs: BeliefStore,
                              cfg: SurpriseConfig = DEFAULT_CONFIG
                              ) -> float | None:
     """Cube-level probabilistic label surprise; None when no cell carries a
-    label belief over a resolvable measure."""
+    label belief on a measure that scores a result column."""
     lookup = _statements_by_measure(beliefs, ("label",))
     return _fold(([prob_label_surprise(group, _label(schemes, name, actual),
                                        mode, domain)

@@ -389,20 +389,13 @@ def minmax_normalized_avg(dists: list[float]) -> float | None:
 # label)]; `order` lists ordinal labels, or is None for 0/1 label distance.
 
 
-class AmbiguousMeasure(Exception):
-    pass
-
-
-def measure_column(row: dict[str, float], name: str) -> str | None:
-    """The column named `name` in any case, else the one column aggregating
-    measure `name`, else None."""
+def measure_columns(row: dict[str, float], name: str) -> list[str]:
+    """The column named `name` in any case, else every column aggregating
+    measure `name`."""
     for col in row:
         if col.lower() == name.lower():
-            return col
-    hits = [col for col in row if col.lower().endswith(f"({name.lower()})")]
-    if len(hits) > 1:
-        raise AmbiguousMeasure(name)
-    return hits[0] if hits else None
+            return [col]
+    return [col for col in row if col.lower().endswith(f"({name.lower()})")]
 
 
 def fold(kind: str, values: list[float]) -> float:
@@ -447,9 +440,7 @@ def cube_value_surprise(cells, expected, cell_agg, cube_agg):
     for anchor, row in cells:
         gaps = []
         for name, exp in expected.get(anchor, {}).items():
-            col = measure_column(row, name)
-            if col is not None:
-                gaps.append(abs(row[col] - exp))
+            gaps += [abs(row[col] - exp) for col in measure_columns(row, name)]
         per_cell.append(gaps)
     return _cube_score(per_cell, cell_agg, cube_agg)
 
@@ -468,17 +459,15 @@ def cube_probability_surprise(cells, beliefs, kind, cell_agg, cube_agg):
     for anchor, row in cells:
         scores = []
         for measure, stmts in _beliefs_by_measure(beliefs, anchor, kind).items():
-            col = measure_column(row, measure)
-            if col is None:
-                continue
-            x = row[col]
-            if kind == "set":
-                held = [any(math.isclose(x, v, rel_tol=1e-12, abs_tol=1e-12)
-                            for v in values) for values, _ in stmts]
-            else:
-                held = [_in_interval(x, *values) for values, _ in stmts]
-            scores.append(math.fsum(
-                p for (_, p), h in zip(stmts, held) if not h))
+            for col in measure_columns(row, measure):
+                x = row[col]
+                if kind == "set":
+                    held = [any(math.isclose(x, v, rel_tol=1e-12, abs_tol=1e-12)
+                                for v in values) for values, _ in stmts]
+                else:
+                    held = [_in_interval(x, *values) for values, _ in stmts]
+                scores.append(math.fsum(
+                    p for (_, p), h in zip(stmts, held) if not h))
         per_cell.append(scores)
     return _cube_score(per_cell, cell_agg, cube_agg)
 
@@ -488,10 +477,9 @@ def cube_label_surprise(cells, expected, rules, order, cell_agg, cube_agg):
     for anchor, row in cells:
         gaps = []
         for name, exp_label in expected.get(anchor, {}).items():
-            col = measure_column(row, name)
-            if col is not None:
-                gaps.append(label_gap(order, rule_label(rules, name, row[col]),
-                                      exp_label))
+            gaps += [label_gap(order, rule_label(rules, name, row[col]),
+                               exp_label)
+                     for col in measure_columns(row, name)]
         per_cell.append(gaps)
     return _cube_score(per_cell, cell_agg, cube_agg)
 
@@ -499,8 +487,8 @@ def cube_label_surprise(cells, expected, rules, order, cell_agg, cube_agg):
 def strict_label_surprise(cells, expected, rules) -> bool:
     for anchor, row in cells:
         for name, exp_label in expected.get(anchor, {}).items():
-            col = measure_column(row, name)
-            if col is not None and rule_label(rules, name, row[col]) != exp_label:
+            if any(rule_label(rules, name, row[col]) != exp_label
+                   for col in measure_columns(row, name)):
                 return True
     return False
 
@@ -512,13 +500,12 @@ def cube_prob_label_surprise(cells, beliefs, rules, order, cell_agg, cube_agg):
     for anchor, row in cells:
         scores = []
         for measure, stmts in _beliefs_by_measure(beliefs, anchor, "label").items():
-            col = measure_column(row, measure)
-            if col is None:
-                continue
-            actual = rule_label(rules, measure, row[col])
-            scores.append(math.fsum(
-                p * (1.0 if order is None else label_gap(order, label, actual))
-                for label, p in stmts if label != actual))
+            for col in measure_columns(row, measure):
+                actual = rule_label(rules, measure, row[col])
+                scores.append(math.fsum(
+                    p * (1.0 if order is None
+                         else label_gap(order, label, actual))
+                    for label, p in stmts if label != actual))
         per_cell.append(scores)
     return _cube_score(per_cell, cell_agg, cube_agg)
 

@@ -3,11 +3,13 @@ import sys
 
 import pytest
 
+import oracles
 from conftest import PKDD
 from cubeinterest.cli import main
 from cubeinterest.context import (
     HistoryEntry,
     SessionContext,
+    cell_anchor,
     filter_history_same_measures,
 )
 from cubeinterest.engine import CellSet, detailed_area_keys, evaluate
@@ -418,6 +420,24 @@ def test_append_with_result_selects_the_entry_once(monkeypatch, star_cube):
         assert report.scores[group][key] == value, (group, key)
 
 
+def test_detailed_belief_novelty_reads_the_entry_rows(monkeypatch, star_cube):
+    """Detailed belief novelty aggregates the rows the entry holds, so with
+    them memoised it selects nothing, and it scores as a plain call does."""
+    ctx, q = _star_session(star_cube)
+    mine = HistoryEntry(q)
+    row = star_cube.coords[mine.rows[0]]
+    where = ", ".join(f"{d.base_level.name}={d.label_of(d.base_level, int(i))}"
+                      for d, i in zip(star_cube.dims, row))
+    ctx.beliefs.add(qlang.parse_belief(f"P(Amt IN {{5}} | {where}) = 0.9",
+                                       star_cube))
+    plain = novelty.belief_novelty(q, ctx.beliefs, 0.5, "detailed")
+    assert plain[1].covered_count == 1
+    assert plain[1].universe_size == len(mine.rows)
+    calls = _count_scans(monkeypatch)
+    assert novelty.belief_novelty(mine, ctx.beliefs, 0.5, "detailed") == plain
+    assert calls == []
+
+
 def test_one_profile_walk_per_history_result(monkeypatch, star_cube):
     """Both value-peculiarity scores come from one walk over the profiles
     per non-empty history result."""
@@ -532,6 +552,60 @@ def test_empty_results_leave_value_peculiarity(star_cube):
     assert scores["jaccard"] == 1.0
     with pytest.raises(EmptyResult):
         peculiarity.hausdorff_distance(evaluate(empty), evaluate(q))
+
+
+def test_two_aggregates_of_one_measure_score_the_whole_vector(star_cube):
+    """Expectations of every kind on Amt score both min(Amt) and sum(Amt),
+    and each score is the reference fold over both columns."""
+    ctx = SessionContext(star_cube)
+    ctx.history.append(qlang.parse_query(QUERY.format(
+        "avg(Amt)", "Account.District, Date.Month", "Date.Year IN {1997}"),
+        star_cube))
+    q = qlang.parse_query(QUERY.format(
+        "min(Amt), sum(Amt)", "Account.District, Date.Month",
+        "Date.Year IN {1996}"), star_cube)
+    where = "District=D01, Month=1996-01"
+    anchor = qlang.parse_belief(f"P(Amt IN {{1}} | {where}) = 1",
+                                star_cube).anchor
+    ctx.expected_values.register(anchor, "Amt", 1000.0)
+    ctx.expected_labels.register(anchor, "Amt", "Low")
+    schemes, ctx.label_domain = qlang.parse_label_rules(
+        "Amt: [0..50000) -> Low\nAmt: [50000..1000000000] -> High\n"
+        "ORDER Low < High\n")
+    ctx.labeling_schemes.update(schemes)
+    for target in ("Amt IN {1000}", "Amt IN [0..50000)", "label(Amt) = High"):
+        ctx.beliefs.add(qlang.parse_belief(f"P({target} | {where}) = 0.5",
+                                           star_cube))
+    scores = interestingness_vector(q, ctx).scores["surprise"]
+
+    ocells = [(cell_anchor(c.levels, c.ids), c.measures)
+              for c in evaluate(q).iter_cells()]
+    rules = {"Amt": [(0, 50000, True, False, "Low"),
+                     (50000, 1e9, True, True, "High")]}
+    obeliefs = [(anchor, "Amt", "set", (1000.0,), 0.5),
+                (anchor, "Amt", "interval", (0, 50000, True, False), 0.5),
+                (anchor, "Amt", "label", "High", 0.5)]
+    fold = ("max", "mean")
+    want = {
+        "value": oracles.cube_value_surprise(
+            ocells, {anchor: {"Amt": 1000.0}}, *fold),
+        "prob_exact": oracles.cube_probability_surprise(
+            ocells, obeliefs, "set", *fold),
+        "prob_interval": oracles.cube_probability_surprise(
+            ocells, obeliefs, "interval", *fold),
+        "label": oracles.cube_label_surprise(
+            ocells, {anchor: {"Amt": "Low"}}, rules, None, *fold),
+        "label_strict": oracles.strict_label_surprise(
+            ocells, {anchor: {"Amt": "Low"}}, rules),
+        "label_prob_strict": oracles.cube_prob_label_surprise(
+            ocells, obeliefs, rules, None, *fold),
+        "label_prob_loose": oracles.cube_prob_label_surprise(
+            ocells, obeliefs, rules, ["Low", "High"], *fold),
+    }
+    assert want["value"] is not None
+    for key, value in want.items():
+        assert scores[key] == pytest.approx(value, rel=1e-12), key
+    assert scores["value_avg_norm"] is None  # two aggregates
 
 
 # --- CLI ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 import pytest
 
-from cubeinterest.context import ValueInterval
+from cubeinterest.context import ValueInterval, filter_history_same_measures
+from cubeinterest.engine import (
+    AtomicFilter,
+    CubeQuery,
+    SelectionCondition,
+    evaluate,
+)
 from cubeinterest.errors import (
     DuplicateDimensionAtom,
     GapInCoverage,
+    LevelNotInDimension,
     OverlappingIntervals,
     ParseError,
     PositionedError,
     ProbabilityOutOfRange,
     UnknownIdentifier,
 )
-from cubeinterest.mdm import ALL_LEVEL
+from cubeinterest.mdm import ALL_LEVEL, Dimension
+from cubeinterest.peculiarity import query_distance_components
 from cubeinterest import qlang
 
 
@@ -20,6 +28,36 @@ def test_parse_reference_schema_query(pkdd_cube):
     assert q.aggregates == (("avg", "Amt"),)
     assert q.groupers == ("District", "ALL", "Month")
     assert q.condition.is_empty
+
+
+def test_hand_built_query_takes_the_schema_names(pkdd_cube):
+    """A query built with names in another case stores the schema's own,
+    so it equals, compares, prints and evaluates as its parsed twin."""
+    p = qlang.parse_query("SELECT avg(Amt) BY Account.District, Date.Month "
+                          "WHERE Date.Year IN {1996}", pkdd_cube)
+    values = p.condition.atom_for("Date").values
+    h = CubeQuery(pkdd_cube,
+                  SelectionCondition((AtomicFilter("date", "year", values),)),
+                  ("district", "all", "month"), (("avg", "amt"),))
+    assert h == p
+    assert h.same_definition(p) and p.same_definition(h)
+    assert filter_history_same_measures([h], p) == [h]
+    assert query_distance_components(p, h) == (0.0, 0.0, 0.0)
+    assert qlang.print_query(h) == qlang.print_query(p) == (
+        "SELECT avg(Amt) BY Account.District, Date.Month "
+        "WHERE Date.Year IN {1996}")
+    assert list(evaluate(h).measures) == ["avg(Amt)"]
+
+
+def test_member_lookup_errors_other_than_unknown_member_propagate(
+        pkdd_cube, monkeypatch):
+    def broken(self, level, label):
+        raise LevelNotInDimension(f"{self.name} lost level {level}")
+
+    monkeypatch.setattr(Dimension, "member", broken)
+    with pytest.raises(LevelNotInDimension):
+        qlang.parse_query("SELECT avg(Amt) BY Date.Month "
+                          "WHERE Date.Year IN {1996}", pkdd_cube)
 
 
 def test_parse_group_everything(pkdd_cube):

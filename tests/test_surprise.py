@@ -105,13 +105,23 @@ def test_value_surprise_no_match_is_none(pkdd_query):
 def test_normalized_value_surprise_matches_oracle(pkdd_cube, pkdd_query):
     expected = load_expected_values(PKDD / "expected_values.csv", pkdd_cube)
     result = evaluate(pkdd_query)
-    dists = []
-    for cell in result.iter_cells():
-        exp = expected.lookup(cell_anchor(cell.levels, cell.ids))
-        if "Amt" in exp:
-            dists.append(abs(cell.measures["avg(Amt)"] - exp["Amt"]))
-    assert normalized_value_surprise(result, expected) == pytest.approx(
-        oracles.minmax_normalized_avg(dists))
+    cells = list(result.iter_cells())
+    for both in (False, True):
+        if both:  # one anchor expects under the base measure and the column
+            anchor = next(a for a in (cell_anchor(c.levels, c.ids)
+                                      for c in cells)
+                          if "Amt" in expected.lookup(a))
+            expected.register(anchor, "avg(Amt)", 0.0)
+        dists = []
+        for cell in cells:
+            exp = expected.lookup(cell_anchor(cell.levels, cell.ids))
+            for name, value in exp.items():
+                dists += [abs(cell.measures[col] - value)
+                          for col in oracles.measure_columns(cell.measures,
+                                                             name)]
+        assert normalized_value_surprise(result, expected) == pytest.approx(
+            oracles.minmax_normalized_avg(dists))
+    assert len(dists) == 5
 
 
 # --- probability surprise ----------------------------------------------------------
@@ -378,8 +388,9 @@ def _grid_cells(columns: dict[str, list[float]], pairs) -> CellSet:
 
 
 def _surprise_case(seed: int) -> SimpleNamespace:
-    """A result with two aggregates, expectations on part of its cells (and
-    on one anchor outside it), and beliefs of every kind, built once for the
+    """A result with two aggregates (odd seeds add `min(Amt)`, so a name
+    on Amt scores two columns), expectations on part of its cells (and on
+    one anchor outside it), and beliefs of every kind, built once for the
     package and once as plain data for the references."""
     rnd = random.Random(seed)
     grid = [(g, d) for g in range(5) for d in range(4)]
@@ -387,10 +398,14 @@ def _surprise_case(seed: int) -> SimpleNamespace:
     pairs, outside = grid[:14], grid[14]
     amt = [rnd.randrange(81) / 2 for _ in pairs]
     qty = [rnd.randrange(81) / 2 for _ in pairs]
-    cells = _grid_cells({"sum(Amt)": amt, "avg(Qty)": qty}, pairs)
+    columns = {"sum(Amt)": amt, "avg(Qty)": qty}
+    if seed % 2:
+        extra = random.Random(-seed)
+        columns["min(Amt)"] = [extra.randrange(81) / 2 for _ in pairs]
+    cells = _grid_cells(columns, pairs)
     anchors = [cell_anchor(cells.levels, ids) for ids in pairs]
-    ocells = [(a, {"sum(Amt)": x, "avg(Qty)": y})
-              for a, x, y in zip(anchors, amt, qty)]
+    ocells = [(a, {name: values[i] for name, values in columns.items()})
+              for i, a in enumerate(anchors)]
     out_anchor = cell_anchor(cells.levels, outside)
 
     expected, oexpected = ExpectedValues(), {}
@@ -443,7 +458,7 @@ def _same(got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(16))
 def test_cube_surprise_matches_oracle(seed):
     c = _surprise_case(seed)
     scored = 0
@@ -484,34 +499,76 @@ def test_cube_surprise_matches_oracle(seed):
         oracles.strict_label_surprise(c.ocells, c.olabels, ORACLE_RULES)
 
 
-def _ambiguous_case():
-    cells = _grid_cells({"sum(Amt)": [5.0], "avg(Amt)": [5.0]}, [(0, 0)])
+def _ambiguous_case() -> SimpleNamespace:
+    """One cell whose two columns aggregate Amt, with an expectation of
+    every kind on Amt, for the package and as plain data."""
+    # the first column alone would score lower than the fold over both
+    columns = {"avg(Amt)": 5.0, "sum(Amt)": 15.0}
+    cells = _grid_cells({k: [v] for k, v in columns.items()}, [(0, 0)])
     anchor = cell_anchor(cells.levels, (0, 0))
     expected, labels = ExpectedValues(), ExpectedLabels()
     expected.register(anchor, "Amt", 4.0)
     labels.register(anchor, "Amt", "Low")
+    obeliefs = [(anchor, "Amt", "set", (4.0,), 0.5),
+                (anchor, "Amt", "interval", (0, 4, True, False), 0.5),
+                (anchor, "Amt", "label", "Mid", 0.5)]
     beliefs = BeliefStore([
         BeliefStatement("Amt", "set", frozenset({4.0}), 0.5, anchor),
         BeliefStatement("Amt", "interval", ValueInterval(0, 4), 0.5, anchor),
         BeliefStatement("Amt", "label", "Mid", 0.5, anchor),
     ])
     schemes, domain = qlang.parse_label_rules(CASE_RULES)
-    return cells, expected, labels, beliefs, schemes, domain
+    return SimpleNamespace(
+        cells=cells, ocells=[(anchor, columns)], expected=expected,
+        oexpected={anchor: {"Amt": 4.0}}, labels=labels,
+        olabels={anchor: {"Amt": "Low"}}, beliefs=beliefs, obeliefs=obeliefs,
+        schemes=schemes, domain=domain)
 
 
-@pytest.mark.parametrize("score", [
-    lambda c, e, l, b, s, d: value_surprise(c, e),
-    lambda c, e, l, b, s, d: cube_probability_surprise(c, b, "exact"),
-    lambda c, e, l, b, s, d: cube_probability_surprise(c, b, "interval"),
-    lambda c, e, l, b, s, d: label_surprise(c, l, s),
-    lambda c, e, l, b, s, d: strict_label_surprise(c, l, s),
-    lambda c, e, l, b, s, d: cube_prob_label_surprise(c, b, s, "loose", d),
+@pytest.mark.parametrize("score,oracle", [
+    (lambda c: value_surprise(c.cells, c.expected),
+     lambda c: oracles.cube_value_surprise(c.ocells, c.oexpected,
+                                           "max", "mean")),
+    (lambda c: cube_probability_surprise(c.cells, c.beliefs, "exact"),
+     lambda c: oracles.cube_probability_surprise(c.ocells, c.obeliefs, "set",
+                                                 "max", "mean")),
+    (lambda c: cube_probability_surprise(c.cells, c.beliefs, "interval"),
+     lambda c: oracles.cube_probability_surprise(c.ocells, c.obeliefs,
+                                                 "interval", "max", "mean")),
+    (lambda c: label_surprise(c.cells, c.labels, c.schemes),
+     lambda c: oracles.cube_label_surprise(c.ocells, c.olabels, ORACLE_RULES,
+                                           None, "max", "mean")),
+    (lambda c: strict_label_surprise(c.cells, c.labels, c.schemes),
+     lambda c: oracles.strict_label_surprise(c.ocells, c.olabels,
+                                             ORACLE_RULES)),
+    (lambda c: cube_prob_label_surprise(c.cells, c.beliefs, c.schemes,
+                                        "loose", c.domain),
+     lambda c: oracles.cube_prob_label_surprise(c.ocells, c.obeliefs,
+                                                ORACLE_RULES, ORDER,
+                                                "max", "mean")),
 ], ids=["value", "prob-exact", "prob-interval", "label", "label-strict",
         "label-prob"])
-def test_cube_surprise_ambiguous_measure_raises(score):
-    """An expectation on Amt matches both sum(Amt) and avg(Amt)."""
-    with pytest.raises(UnknownMeasure):
-        score(*_ambiguous_case())
+def test_cube_surprise_ambiguous_measure_raises(score, oracle):
+    """An expectation on Amt scores both avg(Amt) and sum(Amt), folded by
+    `cell_agg`; nothing raises (the name is kept, so the cases keep their
+    ids)."""
+    c = _ambiguous_case()
+    want = oracle(c)
+    assert want not in (None, 0.0, False)
+    assert score(c) == want
+
+
+def test_normalized_value_surprise_needs_one_column():
+    """Normalized surprise scores one column: a two-column result, or a
+    measure two columns aggregate, raises; a named column scores alone."""
+    c = _ambiguous_case()
+    for measure in (None, "Amt", "Qty"):
+        with pytest.raises(UnknownMeasure):
+            normalized_value_surprise(c.cells, c.expected, measure)
+    anchor = cell_anchor(c.cells.levels, (0, 0))
+    c.expected.register(anchor, "sum(Amt)", 10.0)
+    # sum(Amt) = 15: gaps 11 (Amt) and 5 (sum(Amt)), mean 8
+    assert normalized_value_surprise(c.cells, c.expected, "SUM(amt)") == 0.5
 
 
 def test_probability_surprise_bad_mode_is_value_error(pkdd_query):
