@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -74,7 +75,9 @@ class ValueInterval:
 
 
 def _num(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+    """The shortest decimal that reads back as `x`, never with an exponent."""
+    x = float(x)
+    return str(int(x)) if x.is_integer() else format(Decimal(repr(x)), "f")
 
 
 @dataclass(frozen=True)

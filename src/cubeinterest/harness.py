@@ -233,7 +233,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
         group["value"] = timer.run(
             "surprise.value", surprise.value_surprise, result,
             ctx.expected_values) if has_values else None
-        if has_values and len(q.aggregates) == 1:
+        if has_values and len(result.measures) == 1:
             group["value_avg_norm"] = timer.run(
                 "surprise.value_avg_norm", surprise.normalized_value_surprise,
                 result, ctx.expected_values)

@@ -2,8 +2,6 @@
 
 The grammar is LL(1) and parsed by a hand-written recursive-descent parser
 so syntax errors can carry a byte offset and the set of expected tokens.
-Printing is canonical: `parse(print(parse(text)))` equals `parse(text)` for
-every accepted input.
 
     query  := "SELECT" agg ("," agg)* "BY" grouper ("," grouper)*
               ["WHERE" atom ("AND" atom)*]
@@ -15,9 +13,29 @@ every accepted input.
             | "label" "(" ident ")" "=" word
     rule   := ident ":" interval "->" word
             | "ORDER" word ("<" word)*
+
+One token rule (`_TOKEN`) reads the text, and the printers ask it how to
+write. A word is a run of letters, digits and `_` (`R1`, `12abc`), in which
+`-`, `/` or `:` may join two letters or digits (`1996-01`, `a/b`). A number is
+decimal digits with an optional fraction (`12`, `0.5`) that no word
+character follows: what `float` reads. Any text between `'...'` or
+`"..."` is one word, with no escapes. Names (ident, word) are words; a
+member literal is a word or a number. Numbers carry no sign.
+
+A printer writes a name, label or member bare when the scanner reads it
+back as exactly that one token, else quoted, with `"` when it holds `'`.
+Numbers are written as the shortest decimal that reads back as the same
+float, never with an exponent. So printing is canonical, and
+`parse(print(x)) == x` for every query, condition, belief and label-rule
+set that the parsers return or whose names the grammar can write. Two it
+cannot write: a name or label holding both quote characters, and a
+label-rule measure named `ORDER` in any case (a quoted word there is still
+the keyword).
 """
 
 from __future__ import annotations
+
+import re
 
 from .context import BeliefStatement, ValueInterval, _lines, _num
 from .engine import (
@@ -28,17 +46,29 @@ from .engine import (
     SelectionCondition,
 )
 from .errors import (
+    DimensionMismatch,
     DuplicateDimensionAtom,
+    LevelNotInDimension,
     ParseError,
     ProbabilityOutOfRange,
     UnknownIdentifier,
     UnknownLevel,
+    UnknownMeasure,
     UnknownMember,
 )
 from .mdm import ALL_LEVEL, Dimension
 
-_WORD_SEPS = "-/:"
-_SYMBOLS = "(){}[],.=|%<:"
+# One token. `\w` is a letter, digit or `_` (`str.isalnum()` or `_`),
+# `[^\W_]` a letter or digit, `\d` a decimal digit (`str.isdecimal()`) and
+# `\s` a blank (`str.isspace()`).
+_TOKEN = re.compile(r"""(?:
+    (?P<number>\d+(?:\.\d+)?)(?!\w|[-/:][^\W_])
+  | (?P<word>\w+(?:[-/:][^\W_]\w*)*)
+  | (?P<quoted>'[^']*'|"[^"]*")
+  | (?P<symbol>\.\.|->|[(){}\[\],.=|%<:])
+)""", re.VERBOSE)
+_TOKEN_AND_BLANKS = re.compile(_TOKEN.pattern + r"\s*", re.VERBOSE)
+_LITERAL = ("word", "number")
 
 
 class Token:
@@ -53,95 +83,44 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r}, @{self.pos})"
 
 
-def _is_word_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 def tokenize(text: str) -> list[Token]:
     out = []
-    i, n = 0, len(text)
+    i, n = len(text) - len(text.lstrip()), len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch in "'\"":
-            j = text.find(ch, i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted literal", start)
-            out.append(Token("word", text[i + 1:j], start))
-            i = j + 1
-            continue
-        if _is_word_start(ch):
-            i += 1
-            while i < n and (_is_word_char(text[i]) or (
-                    text[i] in _WORD_SEPS and i + 1 < n and text[i + 1].isalnum())):
-                i += 1
-            out.append(Token("word", text[start:i], start))
-            continue
-        if ch.isdigit():
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-            if (i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit()):
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-                out.append(Token("number", text[start:i], start))
-            elif (i < n and text[i] in _WORD_SEPS and i + 1 < n
-                    and text[i + 1].isalnum()):
-                i += 1
-                while i < n and (_is_word_char(text[i]) or (
-                        text[i] in _WORD_SEPS and i + 1 < n
-                        and text[i + 1].isalnum())):
-                    i += 1
-                out.append(Token("word", text[start:i], start))
-            else:
-                out.append(Token("number", text[start:i], start))
-            continue
-        if text.startswith("..", i):
-            out.append(Token("..", "..", start))
-            i += 2
-            continue
-        if text.startswith("->", i):
-            out.append(Token("->", "->", start))
-            i += 2
-            continue
-        if ch in _SYMBOLS:
-            out.append(Token(ch, ch, start))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start)
+        m = _TOKEN_AND_BLANKS.match(text, i)
+        if m is None:
+            if text[i] in "'\"":
+                raise ParseError("unterminated quoted literal", i)
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "quoted":
+            kind, value = "word", value[1:-1]
+        elif kind == "symbol":
+            kind = value
+        out.append(Token(kind, value, i))
+        i = m.end()
     out.append(Token("eof", "", n))
     return out
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
+        self.cur = self.tokens[0]
 
     def advance(self) -> Token:
         tok = self.cur
         if tok.kind != "eof":
             self.i += 1
+            self.cur = self.tokens[self.i]
         return tok
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self.cur
-        if tok.kind != kind:
-            return None
-        if text is not None and tok.text.lower() != text.lower():
+        if tok.kind != kind or (
+                text is not None and tok.text.lower() != text.lower()):
             return None
         return self.advance()
 
@@ -173,65 +152,51 @@ class _Parser:
 
     def literal(self) -> Token:
         tok = self.cur
-        if tok.kind not in ("word", "number"):
+        if tok.kind not in _LITERAL:
             raise ParseError(
                 f"unexpected {tok.text!r}", tok.pos, ["member literal"])
         return self.advance()
 
 
-# --- identifier resolution ---------------------------------------------------
+# --- names, looked up through the schema ---------------------------------------
 
-def _resolve_dim(cube: DetailedCube, tok: Token) -> Dimension:
-    for d in cube.dims:
-        if d.name.lower() == tok.text.lower():
-            return d
-    raise UnknownIdentifier(f"unknown dimension {tok.text!r}", tok.pos)
-
-
-def _resolve_level(dim: Dimension, tok: Token) -> str:
-    if not dim.has_level(tok.text):
-        raise UnknownIdentifier(
-            f"dimension {dim.name} has no level {tok.text!r}", tok.pos)
-    return dim.level(tok.text).name
-
-
-def _resolve_measure(cube: DetailedCube, tok: Token) -> str:
-    for m in cube.measures:
-        if m.lower() == tok.text.lower():
-            return m
-    raise UnknownIdentifier(f"unknown measure {tok.text!r}", tok.pos)
-
-
-def _resolve_member(dim: Dimension, level: str, tok: Token) -> int:
+def _at(tok: Token, missing: type[Exception], lookup, *args):
+    """`lookup(*args)`, the schema's lookup of the name in `tok`; the schema's
+    own `missing` error is re-raised at the token's offset."""
     try:
-        return dim.member(level, tok.text).id
-    except UnknownMember:
-        raise UnknownIdentifier(
-            f"{dim.name}.{level} has no member {tok.text!r}", tok.pos) from None
-
-
-def _level_anywhere(cube: DetailedCube, tok: Token) -> Dimension:
-    try:
-        return cube.dim_with_level(tok.text)
-    except UnknownLevel as exc:
+        return lookup(*args)
+    except missing as exc:
         raise UnknownIdentifier(str(exc), tok.pos) from None
+
+
+def _dim_level(p: _Parser, cube: DetailedCube) -> tuple[Dimension, str]:
+    """`ident "." ident`: a dimension and its level's schema name."""
+    tok = p.expect("word", expected="dimension name")
+    dim = _at(tok, DimensionMismatch, cube.dim, tok.text)
+    p.expect(".")
+    tok = p.expect("word", expected="level name")
+    return dim, _at(tok, LevelNotInDimension, dim.level, tok.text).name
+
+
+def _measure(p: _Parser, cube: DetailedCube) -> str:
+    tok = p.expect("word", expected="measure name")
+    return cube.measures[_at(tok, UnknownMeasure, cube.measure_index, tok.text)]
+
+
+def _member(p: _Parser, dim: Dimension, level: str) -> int:
+    tok = p.literal()
+    return _at(tok, UnknownMember, dim.member, level, tok.text).id
 
 
 # --- queries and conditions -----------------------------------------------------
 
 def _parse_atom(p: _Parser, cube: DetailedCube) -> AtomicFilter:
-    dim_tok = p.expect("word", expected="dimension name")
-    dim = _resolve_dim(cube, dim_tok)
-    p.expect(".")
-    level = _resolve_level(dim, p.expect("word", expected="level name"))
+    dim, level = _dim_level(p, cube)
     p.expect_keyword("IN")
     p.expect("{")
-    values = set()
-    while True:
-        tok = p.literal()
-        values.add(_resolve_member(dim, level, tok))
-        if not p.accept(","):
-            break
+    values = {_member(p, dim, level)}
+    while p.accept(","):
+        values.add(_member(p, dim, level))
     p.expect("}")
     return AtomicFilter(dim.name, level, frozenset(values))
 
@@ -268,22 +233,18 @@ def parse_query(text: str, cube: DetailedCube) -> CubeQuery:
             raise UnknownIdentifier(
                 f"unknown aggregate function {fn_tok.text!r}", fn_tok.pos)
         p.expect("(")
-        measure = _resolve_measure(cube, p.expect("word", expected="measure name"))
+        aggregates.append((fn, _measure(p, cube)))
         p.expect(")")
-        aggregates.append((fn, measure))
         if not p.accept(","):
             break
     p.expect_keyword("BY")
     groupers = {d.name: ALL_LEVEL for d in cube.dims}
     grouped: set[str] = set()
     while True:
-        dim_tok = p.expect("word", expected="dimension name")
-        dim = _resolve_dim(cube, dim_tok)
-        p.expect(".")
-        level = _resolve_level(dim, p.expect("word", expected="level name"))
+        pos = p.cur.pos
+        dim, level = _dim_level(p, cube)
         if dim.name in grouped:
-            raise ParseError(
-                f"dimension {dim.name} grouped twice", dim_tok.pos)
+            raise ParseError(f"dimension {dim.name} grouped twice", pos)
         grouped.add(dim.name)
         groupers[dim.name] = level
         if not p.accept(","):
@@ -323,13 +284,15 @@ def parse_belief(text: str, cube: DetailedCube) -> BeliefStatement:
         while True:
             dim_tok = level_tok = p.expect("word", expected="level name")
             if p.accept("."):
-                dim = _resolve_dim(cube, dim_tok)
+                dim = _at(dim_tok, DimensionMismatch, cube.dim, dim_tok.text)
                 level_tok = p.expect("word", expected="level name")
             else:
-                dim = _level_anywhere(cube, level_tok)
-            level = _resolve_level(dim, level_tok)
+                dim = _at(level_tok, UnknownLevel, cube.dim_with_level,
+                          level_tok.text)
+            level = _at(level_tok, LevelNotInDimension, dim.level,
+                        level_tok.text).name
             p.expect("=")
-            member = _resolve_member(dim, level, p.literal())
+            member = _member(p, dim, level)
             if dim.name in anchor_parts:
                 raise DuplicateDimensionAtom(
                     f"dimension {dim.name} anchored twice", dim_tok.pos)
@@ -355,13 +318,12 @@ def _parse_belief_target(p: _Parser, cube: DetailedCube):
         if nxt.kind == "(":
             p.advance()
             p.expect("(")
-            measure = _resolve_measure(
-                cube, p.expect("word", expected="measure name"))
+            measure = _measure(p, cube)
             p.expect(")")
             p.expect("=")
             label = p.expect("word", expected="label name").text
             return "label", label, measure
-    measure = _resolve_measure(cube, p.expect("word", expected="measure name"))
+    measure = _measure(p, cube)
     p.expect_keyword("IN")
     if p.cur.kind in ("[", "("):
         return "interval", _parse_interval(p), measure
@@ -407,11 +369,15 @@ def parse_label_rules(text: str, strict_coverage: bool = False):
         p = _Parser(line)
         if p.cur.kind == "word" and p.cur.text.lower() == "order":
             p.advance()
-            labels = [p.expect("word", expected="label name").text]
-            while p.accept("<"):
-                labels.append(p.expect("word", expected="label name").text)
+            order = []
+            while True:
+                tok = p.expect("word", expected="label name")
+                if tok.text in order:
+                    raise ParseError(f"label {tok.text!r} ordered twice", tok.pos)
+                order.append(tok.text)
+                if not p.accept("<"):
+                    break
             p.expect_eof()
-            order = labels
             continue
         measure_tok = p.expect("word", expected="measure name")
         p.expect(":")
@@ -430,13 +396,26 @@ def parse_label_rules(text: str, strict_coverage: bool = False):
 
 # --- printing -----------------------------------------------------------------
 
+def _quote(text: str, kinds: tuple[str, ...] = ("word",)) -> str:
+    """`text` bare when the scanner reads it back as exactly one token of
+    `kinds`, else quoted; `"` when it holds `'`."""
+    m = _TOKEN.match(text)
+    if m and m.end() == len(text) and m.lastgroup in kinds:
+        return text
+    return f'"{text}"' if "'" in text else f"'{text}'"
+
+
+def _dim_level_text(dim: str, level: str) -> str:
+    return f"{_quote(dim)}.{_quote(level)}"
+
+
 def print_query(q: CubeQuery) -> str:
-    parts = ["SELECT ", ", ".join(f"{fn}({m})" for fn, m in q.aggregates)]
+    parts = ["SELECT ", ", ".join(f"{fn}({_quote(m)})" for fn, m in q.aggregates)]
     dims = q.cube.dims
     groupers = [(d.name, g) for d, g in zip(dims, q.groupers) if g != ALL_LEVEL]
     if not groupers:
         groupers = [(dims[0].name, ALL_LEVEL)]
-    parts += [" BY ", ", ".join(f"{d}.{g}" for d, g in groupers)]
+    parts += [" BY ", ", ".join(_dim_level_text(d, g) for d, g in groupers)]
     cond = print_condition(q.condition, q.cube)
     if cond:
         parts += [" WHERE ", cond]
@@ -450,24 +429,27 @@ def print_condition(condition: SelectionCondition, cube: DetailedCube) -> str:
         if atom is None:
             continue
         labels = sorted(dim.label_of(atom.level, v) for v in atom.values)
+        literals = ", ".join(_quote(label, _LITERAL) for label in labels)
         chunks.append(
-            f"{dim.name}.{atom.level} IN {{{', '.join(map(_quote, labels))}}}")
+            f"{_dim_level_text(dim.name, atom.level)} IN {{{literals}}}")
     return " AND ".join(chunks)
 
 
 def print_belief(statement: BeliefStatement, cube: DetailedCube) -> str:
+    measure = _quote(statement.measure)
     if statement.kind == "label":
-        target = f"label({statement.measure}) = {statement.values}"
+        target = f"label({measure}) = {_quote(statement.values)}"
     elif statement.kind == "interval":
-        target = f"{statement.measure} IN {statement.values.text()}"
+        target = f"{measure} IN {statement.values.text()}"
     else:
         vals = ", ".join(_num(v) for v in sorted(statement.values))
-        target = f"{statement.measure} IN {{{vals}}}"
+        target = f"{measure} IN {{{vals}}}"
     anchors = []
     for dim, (level, mid) in zip(cube.dims, statement.anchor):
         if level == ALL_LEVEL:
             continue
-        anchors.append(f"{dim.name}.{level}={_quote(dim.label_of(level, mid))}")
+        member = _quote(dim.label_of(level, mid), _LITERAL)
+        anchors.append(f"{_dim_level_text(dim.name, level)}={member}")
     inner = target if not anchors else f"{target} | {', '.join(anchors)}"
     return f"P({inner}) = {_num(statement.probability)}"
 
@@ -476,13 +458,8 @@ def print_label_rules(schemes: dict, domain=None) -> str:
     lines = []
     for measure in sorted(schemes):
         for interval, label in schemes[measure].intervals:
-            lines.append(f"{measure}: {interval.text()} -> {label}")
+            lines.append(
+                f"{_quote(measure)}: {interval.text()} -> {_quote(label)}")
     if domain is not None and domain.kind != "nominal":
-        lines.append("ORDER " + " < ".join(domain.labels))
+        lines.append("ORDER " + " < ".join(map(_quote, domain.labels)))
     return "\n".join(lines)
-
-
-def _quote(label: str) -> str:
-    plain = label and (label[0].isalnum() or label[0] == "_") and all(
-        ch.isalnum() or ch in "_-/:" for ch in label)
-    return label if plain else f"'{label}'"

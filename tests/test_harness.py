@@ -608,6 +608,27 @@ def test_two_aggregates_of_one_measure_score_the_whole_vector(star_cube):
     assert scores["value_avg_norm"] is None  # two aggregates
 
 
+def test_repeated_aggregate_scores_the_surprise_headline():
+    """`sum(Amt), sum(Amt)` evaluates to the one column `sum(Amt)`, so its
+    headline is normalized value surprise, as for `sum(Amt)` alone."""
+    cube = generate_star_data(2000, 7).cube()
+    ctx = SessionContext(cube)
+    for i, value in enumerate((1000.0, 5000.0, 20000.0, 80000.0), 1):
+        anchor = qlang.parse_belief(
+            f"P(Amt IN {{1}} | District=D0{i}, Month=1996-0{i}) = 1",
+            cube).anchor
+        ctx.expected_values.register(anchor, "Amt", value)
+    q = qlang.parse_query(QUERY.format(
+        "sum(Amt), sum(Amt)", "Account.District, Date.Month",
+        "Date.Year IN {1996}"), cube)
+    result = evaluate(q)
+    assert list(result.measures) == ["sum(Amt)"]
+    want = surprise.normalized_value_surprise(result, ctx.expected_values)
+    assert want is not None
+    report = interestingness_vector(q, ctx)
+    assert report.vector["surprise"] == pytest.approx(want, rel=1e-12)
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 def test_cli_assess_reference(tmp_path, capsys):
@@ -690,6 +711,14 @@ def _assess_argv(*extra):
     ]
 
 
+def _beliefs_argv(text):
+    def argv(out):
+        beliefs = out.parent / "beliefs.txt"
+        beliefs.write_text(text, encoding="utf-8")
+        return _assess_argv("--beliefs", str(beliefs))(out)
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     _assess_argv("--weights", "1,1,1"),
     _assess_argv("--weights", "a,b,c"),
@@ -697,12 +726,13 @@ def _assess_argv(*extra):
     _assess_argv("--pi", "-0.5"),
     _assess_argv("--k", "0"),
     _assess_argv("--k", "-1"),
+    _beliefs_argv("P(Amt IN {²}) = 0.5\n"),
     lambda out: ["bench", "--reps", "0", "--out", str(out)],
     lambda out: ["bench", "--base-sizes", "10,x", "--out", str(out)],
     lambda out: ["bench", "--history-sizes", "0", "--out", str(out)],
     lambda out: ["gen", "--rows", "0", "--out", str(out)],
 ], ids=["weights-sum", "weights-text", "pi-with-beliefs", "pi-alone",
-        "k-zero", "k-negative",
+        "k-zero", "k-negative", "belief-non-decimal-digit",
         "bench-reps", "bench-base-sizes", "bench-history-sizes", "gen-rows"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
