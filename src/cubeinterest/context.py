@@ -260,14 +260,15 @@ def _check_cached(entry: HistoryEntry):
     result, fresh = entry.result, evaluate(entry.query, entry.rows)
     if result.dims != fresh.dims or result.levels != fresh.levels:
         raise HistoryConsistencyError("cached result is at different levels")
-    keys_a, keys_b = result.packed_keys(), fresh.packed_keys()
-    order_a, order_b = np.argsort(keys_a), np.argsort(keys_b)
-    if not np.array_equal(keys_a[order_a], keys_b[order_b]):
+    # `evaluate` returns its cells in ascending key order
+    keys = result.packed_keys()
+    order = np.argsort(keys)
+    if not np.array_equal(keys[order], fresh.packed_keys()):
         raise HistoryConsistencyError("cached result has different coordinates")
     if set(result.measures) != set(fresh.measures):
         raise HistoryConsistencyError("cached result has different measures")
     for name, col in result.measures.items():
-        if not np.allclose(col[order_a], fresh.measures[name][order_b],
+        if not np.allclose(col[order], fresh.measures[name],
                            rtol=1e-9, atol=1e-9):
             raise HistoryConsistencyError(
                 f"cached result disagrees on measure {name}")

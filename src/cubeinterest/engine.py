@@ -7,9 +7,10 @@ Query evaluation is a vectorized filter -> rollup -> group -> aggregate
 pipeline; its filter reads one `Dimension.desc_mask` table per atom. A query's
 detailed area is the fact rows it selects, its detailed cells the query at base
 levels, and its query signature its detailed signature rolled up.
-Signatures stay factored per dimension and are never enumerated:
-`FactoredSignature.covered_size` counts a union's overlap and
-`overlap_sizes` each box's.
+Signatures stay factored per dimension and are never enumerated: one walk,
+`FactoredSignature.coverage`, counts a union's overlap, the sum of each box's
+and the boxes holding the whole signature. Cells compare as packed keys
+(`pack_keys`), in lexicographic coordinate order at any cube width.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     DuplicateCoordinates,
     EmptyFile,
     MalformedFactRow,
-    SignatureTooLarge,
     UnknownLevel,
     UnknownMeasure,
     UnknownMember,
@@ -285,49 +285,33 @@ class FactoredSignature:
                 for d, own, lv, ids in zip(self.dims, self.levels, lvs, self.sets))
         return FactoredSignature(self.dims, tuple(lv.name for lv in lvs), tuple(sets))
 
-    def overlap_sizes(self, others: Sequence["FactoredSignature"]) -> list[int]:
-        """|self ∩ o| for every o in others.
-
-        Per dimension, the others' id sets are concatenated and looked up in
-        one boolean table of self's ids, and the hits are counted by box
-        with one `bincount`; a box's overlap is the product of its counts,
-        in Python ints so it stays exact.
-        """
-        for o in others:
-            self._check_aligned(o)
-        sizes = [1 if self.size else 0] * len(others)
-        for dim, level, ids, parts in zip(self.dims, self.levels, self.sets,
-                                          zip(*(o.sets for o in others))):
-            if not any(sizes):
-                break
-            member = np.zeros(dim.size(level), dtype=bool)
-            member[ids] = True
-            box = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
-            counts = np.bincount(box[member[np.concatenate(parts)]],
-                                 minlength=len(parts))
-            sizes = [n * c for n, c in zip(sizes, counts.tolist())]
-        return sizes
-
-    def covered_size(self, others: Sequence["FactoredSignature"]) -> int:
-        """|self ∩ (union of others)|, exact for any number of others.
+    def coverage(self, others: Sequence["FactoredSignature"]
+                 ) -> tuple[int, int, int]:
+        """(|self ∩ union of others|, the sum of |self ∩ o|, how many others
+        hold all of self), exact for any number of others.
 
         Partition refinement per dimension (the discrete case of Klee's
         measure problem): the ids of one dimension are grouped by the set of
         surviving boxes that hold them, and each group recurses on the next
-        dimension with only those boxes. The cost is bounded by the number
-        of distinct groups, not by 2^len(others).
+        dimension with only those boxes. A cell of a last-dimension group
+        lies in exactly the boxes alive there, so it adds 1 to the first
+        count and their number to the second; a box holds all of self iff it
+        is alive in every group. The cost is bounded by the number of
+        distinct groups, not by 2^len(others).
         """
         for o in others:
             self._check_aligned(o)
         if self.size == 0:
-            return 0
-        memo: dict[tuple[int, tuple[int, ...]], int] = {}
+            return 0, 0, len(others)
+        # (dimension, alive boxes) -> (covered, weight, boxes holding the
+        # whole sub-product from that dimension on), in Python ints
+        memo: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
-        def count(j: int, alive: tuple[int, ...]) -> int:
+        def count(j: int, alive: tuple[int, ...]):
             if not alive:
-                return 0
+                return 0, 0, frozenset()
             if j == len(self.sets):
-                return 1
+                return 1, len(alive), frozenset(alive)
             key = (j, alive)
             if key not in memo:
                 # member[i, c]: box alive[c] holds the i-th id of dimension j
@@ -345,12 +329,18 @@ class FactoredSignature:
                 _, first, sizes = np.unique(rows, return_index=True,
                                             return_counts=True)
                 boxes = np.array(alive)
-                memo[key] = sum(
-                    int(n) * count(j + 1, tuple(boxes[member[i]].tolist()))
-                    for i, n in zip(first, sizes))
+                covered = weight = 0
+                whole = frozenset(alive)
+                for i, n in zip(first, sizes):
+                    c, w, h = count(j + 1, tuple(boxes[member[i]].tolist()))
+                    covered += int(n) * c
+                    weight += int(n) * w
+                    whole &= h
+                memo[key] = covered, weight, whole
             return memo[key]
 
-        return count(0, tuple(range(len(others))))
+        covered, weight, whole = count(0, tuple(range(len(others))))
+        return covered, weight, len(whole)
 
     def _check_aligned(self, other: "FactoredSignature"):
         if self.dims != other.dims or self.levels != other.levels:
@@ -361,19 +351,26 @@ class FactoredSignature:
 # --- key packing ------------------------------------------------------------
 
 def pack_keys(coords: np.ndarray, domain_sizes: list[int]) -> np.ndarray:
-    """Mixed-radix packing of coordinate rows into int64 scalars."""
-    total = 1
-    for s in domain_sizes:
-        total *= max(int(s), 1)
-    if total >= 2 ** 62:
-        raise SignatureTooLarge(
-            "coordinate space too large for packed int64 keys")
+    """Mixed-radix packing of coordinate rows into keys in lexicographic row
+    order: one int64 word per run of dimensions whose domain sizes multiply
+    to below 2^62, so plain int64 keys for one word, else records of words,
+    which numpy sorts and compares field by field."""
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, len(domain_sizes))
-    keys = np.zeros(coords.shape[0], dtype=np.int64)
+    word = np.zeros(len(coords), dtype=np.int64)
+    words, total = [word], 1
     for j, s in enumerate(domain_sizes):
-        keys *= max(int(s), 1)
-        keys += coords[:, j]
-    return keys
+        s = max(int(s), 1)
+        if total * s >= 2 ** 62:
+            word = np.zeros(len(coords), dtype=np.int64)
+            words.append(word)
+            total = 1
+        total *= s
+        word *= s
+        word += coords[:, j]
+    if len(words) == 1:
+        return word
+    # each row's words viewed as one record with fields f0, f1, ...
+    return np.column_stack(words).view(",".join(["i8"] * len(words)))[:, 0]
 
 
 # --- fact loading -------------------------------------------------------------

@@ -58,10 +58,6 @@ class SchemaMismatch(CubeInterestError):
     """Two queries do not share the same base cube / dimension set."""
 
 
-class SignatureTooLarge(CubeInterestError):
-    """A coordinate space was too large for packed int64 keys."""
-
-
 # --- parser errors ------------------------------------------------------------
 
 class PositionedError(CubeInterestError):

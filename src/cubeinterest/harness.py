@@ -135,8 +135,10 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     supplied result, and its condition compiled once. The query's entry
     probes each history entry once (`HistoryEntry.hits`) for `pden`, `pder`
     and `jaccard`. `pden` and `wdn` are read from one `novelty.pden`
-    partition, `fsdn` and `fdsr` (`1.0 - fsdn`) from one `novelty.fsdn`
-    call, and `value_cr` and `value_hausdorff` from one `value_peculiarity` call.
+    partition; `fsdn`, `fdsr` (`1.0 - fsdn`) and `pdsr` from one
+    `novelty.pdsn` partition of q's detailed signature against every entry,
+    timed under `relevance.pdsr`; and `value_cr` and `value_hausdorff` from
+    one `value_peculiarity` call.
     """
     from . import qlang
 
@@ -148,7 +150,8 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
     mine = HistoryEntry(q)
     scores: dict[str, dict] = {}
     if "novelty" in cfg.metrics or "relevance" in cfg.metrics:
-        fsdn = timer.run("novelty.fsdn", novelty.fsdn, mine, entries)
+        _, whole = timer.run("relevance.pdsr", novelty.pdsn, mine, entries)
+        fsdn = 0 if whole.containing else 1
 
     if "novelty" in cfg.metrics:
         same = filter_history_same_measures(entries, q)
@@ -194,9 +197,7 @@ def interestingness_vector(q: CubeQuery, ctx: SessionContext,
             "relevance.psslr", relevance.same_level_relevance, mine, entries,
             mode="partial")
         group["fdsr"] = 1.0 - fsdn
-        group["pdsr"] = timer.run(
-            "relevance.pdsr", relevance.detailed_relevance, mine, entries,
-            mode="partial", basis="syntactic")
+        group["pdsr"] = whole.covered_fraction
         group["pder"] = timer.run(
             "relevance.pder", relevance.detailed_relevance, mine, entries,
             mode="partial", basis="extensional")

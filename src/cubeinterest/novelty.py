@@ -5,12 +5,12 @@ signature, detailed signature, result cells, or detailed-area cells) is
 covered and how much is novel, and returns the novel fraction with the
 partition, which also gives the occurrence-weighted variant
 (`weighted_novel_fraction`). Partitions carry exact counts only. Factored
-signatures are never enumerated: the covered count against a union of
-factored signatures comes from `FactoredSignature.covered_size`, and the
-covered weight and `fsdn`'s containment test from the per-box counts of
-`FactoredSignature.overlap_sizes`. Result cells are compared as packed
-keys, detailed areas as fact row ids. Belief coverage rolls each anchor up
-to the cells' levels and checks each cell only against the anchors in it.
+signatures are never enumerated: the covered count, the covered weight and
+the number of signatures holding the whole target (`fsdn`'s containment
+test) come from one `FactoredSignature.coverage` walk. Result cells are
+compared as packed keys, detailed areas as fact row ids. Belief coverage
+rolls each anchor up to the cells' levels and checks each cell only
+against the anchors in it.
 
 The detailed and extensional metrics take the query and each history item
 as a `CubeQuery` or a `context.HistoryEntry`, and read the rows, result
@@ -46,13 +46,15 @@ from .mdm import Dimension
 class CoveragePartition:
     """Exact covered/novel counts of an assessed universe of cells or
     coordinates. `covered_weight` sums, over the covered part, how many
-    members of the covering collection hold each element."""
+    members of the covering collection hold each element; `containing`
+    counts the members that hold the whole universe (factored only)."""
 
     universe_size: int
     covered_count: int
     novel_count: int
     covered_weight: float = 0.0
     skipped_statements: int = 0
+    containing: int = 0
 
     def __post_init__(self):
         if self.covered_count + self.novel_count != self.universe_size:
@@ -81,12 +83,12 @@ class CoveragePartition:
 
 def factored_partition(target: FactoredSignature,
                        others: Sequence[FactoredSignature]) -> CoveragePartition:
-    """Coverage of a factored signature by the union of others; each other
-    signature adds its overlap with the target to the covered weight."""
-    cov = target.covered_size(others)
-    weight = sum(target.overlap_sizes(others))
+    """Coverage of a factored signature by the union of others, from one
+    `FactoredSignature.coverage` walk."""
+    cov, weight, containing = target.coverage(others)
     return CoveragePartition(target.size, cov, target.size - cov,
-                             covered_weight=float(weight))
+                             covered_weight=float(weight),
+                             containing=containing)
 
 
 # --- same-level metrics ----------------------------------------------------
@@ -171,9 +173,8 @@ def same_level_novelty(q: QueryOrEntry, history: Sequence[QueryOrEntry],
 def fsdn(q: QueryOrEntry, history: Sequence[QueryOrEntry]) -> int:
     """Full syntactic detailed novelty: 0 iff some history query's detailed
     signature contains q's, that is, overlaps it in all of q's coordinates."""
-    mine = as_entry(q).detailed_signature
-    others = [as_entry(h).detailed_signature for h in history]
-    return 0 if mine.size in mine.overlap_sizes(others) else 1
+    _, part = pdsn(q, history)
+    return 0 if part.containing else 1
 
 
 def pdsn(q: QueryOrEntry, history: Sequence[QueryOrEntry]
@@ -290,7 +291,7 @@ def covered_cells(cells: CellSet, anchors: Sequence[Anchor]) -> np.ndarray:
         target = _detailed_box(dims, zip(cells.levels, cells.coords[c].tolist()))
         inside = [_detailed_box(dims, anchors[i])
                   for i in np.flatnonzero(anchor_keys == keys[c])]
-        covered[c] = target.covered_size(inside) == target.size
+        covered[c] = target.coverage(inside)[0] == target.size
     return covered
 
 

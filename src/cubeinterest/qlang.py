@@ -17,10 +17,11 @@ so syntax errors can carry a byte offset and the set of expected tokens.
 One token rule (`_TOKEN`) reads the text, and the printers ask it how to
 write. A word is a run of letters, digits and `_` (`R1`, `12abc`), in which
 `-`, `/` or `:` may join two letters or digits (`1996-01`, `a/b`). A number is
-decimal digits with an optional fraction (`12`, `0.5`) that no word
-character follows: what `float` reads. Any text between `'...'` or
-`"..."` is one word, with no escapes. Names (ident, word) are words; a
-member literal is a word or a number. Numbers carry no sign.
+decimal digits with an optional leading `-` and an optional fraction (`12`,
+`-0.5`) that no word character follows: what `float` reads. A token never
+starts inside a word, so `1996-01` and `a-b` stay words and `->` a symbol.
+Any text between `'...'` or `"..."` is one word, with no escapes. Names
+(ident, word) are words; a member literal is a word or a number.
 
 A printer writes a name, label or member bare when the scanner reads it
 back as exactly that one token, else quoted, with `"` when it holds `'`.
@@ -62,7 +63,7 @@ from .mdm import ALL_LEVEL, Dimension
 # `[^\W_]` a letter or digit, `\d` a decimal digit (`str.isdecimal()`) and
 # `\s` a blank (`str.isspace()`).
 _TOKEN = re.compile(r"""(?:
-    (?P<number>\d+(?:\.\d+)?)(?!\w|[-/:][^\W_])
+    (?P<number>-?\d+(?:\.\d+)?)(?!\w|[-/:][^\W_])
   | (?P<word>\w+(?:[-/:][^\W_]\w*)*)
   | (?P<quoted>'[^']*'|"[^"]*")
   | (?P<symbol>\.\.|->|[(){}\[\],.=|%<:])

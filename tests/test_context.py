@@ -69,6 +69,26 @@ def test_append_rejects_tampered_measures(pkdd_history):
         history.append(pkdd_history[0], result=tampered)
 
 
+def test_append_accepts_result_in_any_row_order(pkdd_history):
+    """A supplied result is compared cell by cell whatever its row order;
+    one changed measure in a reordered result is still caught."""
+    q = pkdd_history[0]
+    result = evaluate(q)
+    assert result.size > 1
+    rev = CellSet(result.dims, result.levels, result.coords[::-1],
+                  {k: v[::-1] for k, v in result.measures.items()})
+    history = QueryHistory()
+    history.append(q, result=rev)
+    assert history.entries[0].result is rev
+    name = next(iter(rev.measures))
+    changed = rev.measures[name].copy()
+    changed[0] += 1.0
+    tampered = CellSet(rev.dims, rev.levels, rev.coords,
+                       {**rev.measures, name: changed})
+    with pytest.raises(HistoryConsistencyError, match="disagrees on measure"):
+        history.append(q, result=tampered)
+
+
 def test_append_rejects_result_at_other_levels():
     # Region ids relabelled as District ids pack to the same keys
     cube = generate_star_data(20_000, 7).cube()

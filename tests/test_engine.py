@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import build_instance, cellset_to_labels, spec_to_query
-from cubeinterest.context import HistoryEntry
+from cubeinterest.context import HistoryEntry, SessionContext
 from cubeinterest.engine import (
     AtomicFilter,
     Cell,
@@ -36,10 +36,10 @@ from cubeinterest.errors import (
     UnknownMeasure,
     UnknownMember,
 )
-from cubeinterest.harness import generate_star_data
+from cubeinterest.harness import generate_star_data, interestingness_vector
 from cubeinterest.mdm import dimension_from_rows
-from cubeinterest.novelty import pden, pdsn
-from cubeinterest.peculiarity import query_distance_components
+from cubeinterest.novelty import pden, pdsn, same_level_novelty
+from cubeinterest.peculiarity import query_distance_components, value_peculiarity
 from cubeinterest import engine, qlang
 
 
@@ -431,7 +431,9 @@ def box_schema():
     return dims, tuple(d.base_level.name for d in dims)
 
 
-def test_covered_size_matches_product(box_schema):
+def test_coverage_matches_product(box_schema):
+    """`coverage` gives the union's overlap, the sum of the per-box overlaps
+    and the number of boxes holding the whole target, as product sets do."""
     dims, levels = box_schema
     sizes = [d.size(lv) for d, lv in zip(dims, levels)]
     rng = np.random.default_rng(0)
@@ -450,9 +452,11 @@ def test_covered_size_matches_product(box_schema):
 
     def check(target, others):
         union = set().union(*(product(o) for o in others))
-        assert target.covered_size(others) == len(product(target) & union)
-        assert target.overlap_sizes(others) == [
-            len(product(target) & product(o)) for o in others]
+        mine = product(target)
+        assert target.coverage(others) == (
+            len(mine & union),
+            sum(len(mine & product(o)) for o in others),
+            sum(mine <= product(o) for o in others))
 
     for n in range(31):
         target = box()
@@ -462,19 +466,116 @@ def test_covered_size_matches_product(box_schema):
         check(target, [box(target) for _ in range(n)])
 
     target = box()
-    assert target.covered_size([]) == 0
-    assert target.overlap_sizes([]) == []
+    assert target.coverage([]) == (0, 0, 0)
     full = FactoredSignature(dims, levels, tuple(
         np.arange(n, dtype=np.int32) for n in sizes))
-    assert target.covered_size([box(), full, box()]) == target.size
+    assert target.coverage([box(), full, box()])[0] == target.size
     check(target, [box(), full, box()])
-    assert target.overlap_sizes([full]) == [target.size]
+    assert target.coverage([full]) == (target.size, target.size, 1)
+    assert target.coverage([full, target, full])[2] == 3
     hollow = FactoredSignature(dims, levels, (np.zeros(0, dtype=np.int32),)
                                + target.sets[1:])
-    assert hollow.covered_size([full]) == 0
+    assert hollow.coverage([full]) == (0, 0, 1)
     check(hollow, [full, target])
     check(target, [hollow, full])
-    assert hollow.overlap_sizes([full, target]) == [0, 0]
+    assert hollow.coverage([full, target]) == (0, 0, 2)
+    assert target.coverage([hollow]) == (0, 0, 0)
+
+
+WIDE_DIMS, WIDE_BASE, WIDE_GROUPS = 7, 500, 10
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """1,000 fact rows over 7 dimensions of 500 base members each, which
+    roll up to 10 groups: 500^7 base coordinates, more than one int64 word
+    holds. Built through the package and as oracle structures."""
+    rows_of = {f"W{j}": [(f"w{j}_{i}", f"g{j}_{i % WIDE_GROUPS}")
+                         for i in range(WIDE_BASE)] for j in range(WIDE_DIMS)}
+    levels = {name: [f"{name}B", f"{name}G"] for name in rows_of}
+    dims = tuple(dimension_from_rows(name, levels[name], rows)
+                 for name, rows in rows_of.items())
+    ocube = oracles.OCube([oracles.ODim(name, levels[name], rows)
+                           for name, rows in rows_of.items()], ["Amt"])
+    rng = np.random.default_rng(7)
+    coords = np.unique(rng.integers(0, WIDE_BASE, size=(1000, WIDE_DIMS)),
+                       axis=0)
+    amounts = np.round(rng.uniform(1.0, 1000.0, size=len(coords)), 2)
+    for row, amt in zip(coords.tolist(), amounts.tolist()):
+        ocube.add(tuple(rows_of[d.name][i][0] for d, i in zip(dims, row)),
+                  Amt=amt)
+    cube = DetailedCube(dims, ("Amt",), coords.astype(np.int32),
+                        amounts.reshape(-1, 1))
+    return cube, ocube
+
+
+def _wide_spec(atoms, groupers, fn="avg"):
+    """A query over the wide cube: (dimension number, groups) atoms at the
+    group level, and one grouper level per dimension (B, G or ALL)."""
+    return oracles.QSpec(
+        tuple((f"W{j}", f"W{j}G", frozenset(f"g{j}_{g}" for g in groups))
+              for j, groups in atoms),
+        tuple("ALL" if lv == "ALL" else f"W{j}{lv}"
+              for j, lv in enumerate(groupers)),
+        ((fn, "Amt"),))
+
+
+def test_pack_keys_order_rows_as_lexsort():
+    """Keys are int64 while one word holds the coordinate space, else
+    records of int64 words; either way they order rows as `np.lexsort`."""
+    rng = np.random.default_rng(3)
+    for sizes, words in (([77, 5000, 1826], 1), ([50_000] * 4, 2),
+                         ([WIDE_BASE] * WIDE_DIMS, 2), ([3, 2 ** 61, 2 ** 40], 3)):
+        coords = np.column_stack([rng.integers(0, s, size=2000) for s in sizes])
+        keys = pack_keys(coords, sizes)
+        assert (keys.dtype == np.int64 if words == 1
+                else len(keys.dtype.names) == words), sizes
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.lexsort(coords.T[::-1])), sizes
+
+
+def test_wide_cube_scores_match_oracles(wide):
+    """A cube wider than one packed word gets a full score vector, and its
+    base-level results, extensional same-level novelty and value
+    peculiarity match the oracles."""
+    cube, ocube = wide
+    base = ["B"] * WIDE_DIMS
+    q_spec = _wide_spec([(0, [0]), (1, [0, 1])], base)
+    specs = [_wide_spec([(0, [0]), (2, [0, 1, 2])], base),
+             _wide_spec([(1, [1]), (3, [4])], base),
+             _wide_spec([(0, [0, 1]), (1, [0])], ["G", "B"] + ["ALL"] * 5,
+                        fn="sum")]
+    q = spec_to_query(cube, q_spec)
+    history = [spec_to_query(cube, s) for s in specs]
+    for spec, query in zip([q_spec] + specs, [q] + history):
+        got, expected = (cellset_to_labels(evaluate(query)),
+                         oracles.evaluate(ocube, spec))
+        assert got.keys() == expected.keys() and got
+        for key, measures in expected.items():
+            assert got[key] == pytest.approx(measures, rel=1e-9, abs=1e-9)
+    got, part = same_level_novelty(q, history, "extensional")
+    assert part.covered_count > 0
+    assert got == pytest.approx(oracles.pslen(ocube, q_spec, specs),
+                                rel=1e-9, abs=1e-9)
+
+    mine = evaluate(q)
+    results = [evaluate(h) for h in history]
+    expected = [sum(fn(ocube, r.levels, [r.labels_row(i) for i in range(r.size)],
+                       mine.levels,
+                       [mine.labels_row(i) for i in range(mine.size)])
+                    for r in results) / len(results)
+                for fn in (oracles.closest_relative, oracles.hausdorff)]
+    assert value_peculiarity(q, history) == pytest.approx(
+        expected, rel=1e-9, abs=1e-9)
+
+    ctx = SessionContext(cube)
+    for i, h in enumerate(history):
+        ctx.history.append(h, evaluate(h) if i % 2 else None)
+    for i, cell in enumerate(itertools.islice(mine.iter_cells(), 3)):
+        ctx.expected_values.register(tuple(zip(cell.levels, cell.ids)), "Amt",
+                                     cell.measures["avg(Amt)"] + i + 1)
+    report = interestingness_vector(q, ctx)
+    assert None not in report.vector.values(), report.vector
 
 
 def test_cell_distance_cases(tiny):

@@ -322,11 +322,13 @@ def _empty_query(cube):
     return q
 
 
-def test_one_fsdn_call_per_assessment(monkeypatch, star_cube):
-    """`fsdn` and `fdsr` are read from one `novelty.fsdn` call, and equal
-    plain `fsdn` and full detailed relevance calls."""
+def test_one_whole_history_partition_per_assessment(monkeypatch, star_cube):
+    """`fsdn`, `fdsr` and `pdsr` are read from one `novelty.pdsn` partition
+    against the whole history, and equal plain `fsdn` and full and partial
+    syntactic detailed relevance calls; novelty adds the same-measure
+    `pdsn` partition."""
     ctx, q = _star_session(star_cube)
-    calls = _count_calls(monkeypatch, novelty.fsdn)
+    calls = _count_calls(monkeypatch, novelty.pdsn)
     for covered in (False, True):
         if covered:  # an unfiltered query contains q's detailed signature
             ctx.history.append(
@@ -334,14 +336,18 @@ def test_one_fsdn_call_per_assessment(monkeypatch, star_cube):
         history = ctx.history.queries()
         plain = novelty.fsdn(q, history)
         full = relevance.detailed_relevance(q, history, mode="full")
+        partial = relevance.detailed_relevance(q, history, mode="partial",
+                                               basis="syntactic")
         assert plain == (0 if covered else 1)
+        assert (partial == 1.0) if covered else (0.0 < partial < 1.0)
         calls.clear()
         report = interestingness_vector(q, ctx)
-        assert len(calls) == 1
+        assert len(calls) == 2
         fsdn = report.scores["novelty"]["fsdn"]
         fdsr = report.scores["relevance"]["fdsr"]
         assert fsdn == plain and fdsr == full == 1.0 - fsdn
-        for metrics, n in ((("novelty",), 1), (("relevance",), 1),
+        assert report.scores["relevance"]["pdsr"] == partial
+        for metrics, n in ((("novelty",), 2), (("relevance",), 1),
                            (("peculiarity", "surprise"), 0)):
             calls.clear()
             interestingness_vector(q, ctx, AssessConfig(metrics=metrics))

@@ -235,6 +235,8 @@ ROUND_TRIP_BELIEFS = [
     "P(Amt IN {0}) = 1",
     "P(Amt IN {10, 20, 30} | Status=A) = 0.5",
     "P(label(Amt) = High | District=Olomouc, Month=1996-07) = 0.2",
+    "P(Amt IN [-500..-0.5) | District=Olomouc) = 0.3",
+    "P(Amt IN {-10, 0, 2.5}) = 0.5",
 ]
 ODD_BELIEFS = [  # over `odd_cube`
     "P('Amt 2' IN [0.00001..1) | Person='a--b') = 0.00001",
@@ -263,6 +265,8 @@ ROUND_TRIP_LABEL_RULES = [
     "Amt: [0..0.00001] -> \"O'Brien\"\n"
     "ORDER 'very high' < '1.5' < \"O'Brien\"",
     "'0': (0..1) -> '2nd'\n'2nd': [1..2) -> '12abc'\nORDER '12abc' < '2nd'",
+    "Amt: [-5..0) -> Neg\nAmt: [0..0.5] -> '-1'\nAmt: (-1000.25..-5) -> a-b\n"
+    "ORDER a-b < Neg < '-1'",
 ]
 
 
@@ -365,7 +369,8 @@ TEXT = st.text(string.ascii_letters[:8] + "XYZ" + string.digits[:4]
                + "_-/:.,{}()[]=%<| 'é\"²½١", max_size=6).filter(
     lambda s: not ("'" in s and '"' in s))
 NAMES = TEXT.filter(bool)
-NUMBERS = st.floats(1e-9, 1e12)
+NUMBERS = (st.floats(1e-9, 1e12) | st.floats(-1e12, -1e-9)
+           | st.just(0.0))
 
 
 def _unique(names, **kw):
@@ -469,7 +474,8 @@ FRAGMENTS = ["SELECT ", "sum(", "Amt", ")", " BY ", "Date.", "Year", "Month",
              " WHERE ", " IN ", "{", "}", ", ", " AND ", "1996", "1996-01",
              "²", "½", "١٩٩٦", "12abc", "'", '"', "P(", "label(", " = ", "=",
              "0.5", "%", "[", "(", "..", "]", " | ", "District", "Olomouc",
-             ": ", " -> ", "Low", "High", "ORDER ", " < ", "\n", "-", "."]
+             ": ", " -> ", "Low", "High", "ORDER ", " < ", "\n", "-", ".",
+             "-0.5", "->"]
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
