@@ -9,8 +9,8 @@ detailed area is the fact rows it selects, its detailed cells the query at base
 levels, and its query signature its detailed signature rolled up.
 Signatures stay factored per dimension and are never enumerated: one walk,
 `FactoredSignature.coverage`, counts a union's overlap, the sum of each box's
-and the boxes holding the whole signature. Cells compare as packed keys
-(`pack_keys`), in lexicographic coordinate order at any cube width.
+and the boxes holding the whole signature. Cell sets meet as packed keys
+(`CellSet.meets`), in lexicographic coordinate order at any cube width.
 """
 
 from __future__ import annotations
@@ -215,20 +215,31 @@ class Cell:
 
 
 class CellSet:
-    """A set of cells sharing one level per dimension.
+    """A set of cells sharing one level per dimension, at `depths`.
 
-    Coordinates are unique; measures are optional (signature-only sets carry
-    none).
+    Measures are optional (signature-only sets carry none). A query result's
+    coordinates are unique; `index` and `meets` allow repeats. A result
+    never changes, so `index` keeps what it builds on the set: at most 16
+    bytes per cell per depth tuple (8 per key word on a wide cube).
     """
 
     def __init__(self, dims: tuple[Dimension, ...], levels: tuple[str, ...],
                  coords: np.ndarray, measures: dict[str, np.ndarray] | None = None):
         self.dims = tuple(dims)
         self.levels = tuple(levels)
-        self.coords = np.ascontiguousarray(coords, dtype=np.int32).reshape(
-            -1, len(self.dims))
+        self.coords = np.ascontiguousarray(coords, dtype=np.int32)
+        if self.coords.size == 0:
+            self.coords = self.coords.reshape(0, len(self.dims))
         self.measures = {k: np.asarray(v, dtype=np.float64)
                          for k, v in (measures or {}).items()}
+        if (len(self.levels) != len(self.dims)
+                or self.coords.shape[1:] != (len(self.dims),)
+                or any(v.shape != (self.size,) for v in self.measures.values())):
+            raise DimensionMismatch(
+                "a cell set needs one level and coordinate column per "
+                "dimension and one value per cell in each measure column")
+        self.depths = tuple(d.level(lv).depth for d, lv in zip(dims, levels))
+        self._index: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def size(self) -> int:
@@ -237,19 +248,34 @@ class CellSet:
     def __len__(self) -> int:
         return self.size
 
-    def domain_sizes(self) -> list[int]:
-        return [d.size(lv) for d, lv in zip(self.dims, self.levels)]
-
     def packed_keys(self) -> np.ndarray:
-        return pack_keys(self.coords, self.domain_sizes())
+        sizes = [d.size(lv) for d, lv in zip(self.dims, self.levels)]
+        return pack_keys(self.coords, sizes)
 
-    def rollup_keys(self, depths: Sequence[int]) -> np.ndarray:
-        """Packed keys of each cell's ancestors at the given per-dimension
-        depths, each at or above the cells' own level."""
-        rolled = [d.ancestor_map(d.level(lv).depth, depth)[col] for d, lv, col, depth
-                  in zip(self.dims, self.levels, self.coords.T, depths)]
-        sizes = [d.size(d.levels[depth]) for d, depth in zip(self.dims, depths)]
-        return pack_keys(np.column_stack(rolled), sizes)
+    def index(self, depths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted distinct packed keys of the cells' ancestors at the given
+        per-dimension depths, each at or above the cells' own, and each
+        cell's position among them), built once per depth tuple."""
+        depths = tuple(depths)
+        if depths not in self._index:
+            rolled = [d.ancestor_map(own, depth)[col] for d, own, col, depth
+                      in zip(self.dims, self.depths, self.coords.T, depths)]
+            sizes = [d.size(d.levels[depth]) for d, depth in zip(self.dims, depths)]
+            self._index[depths] = np.unique(
+                pack_keys(np.column_stack(rolled), sizes), return_inverse=True)
+        return self._index[depths]
+
+    def meets(self, other: "CellSet", depths: Sequence[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """One bool per cell of this set and one per cell of `other`: True
+        iff a cell on the other side has the same ancestor at `depths`. One
+        binary search of this set's distinct keys into the other's."""
+        (mine, at), (theirs, other_at) = self.index(depths), other.index(depths)
+        pos = np.searchsorted(theirs, mine)
+        hit = pos < len(theirs)
+        hit[hit] = theirs[pos[hit]] == mine[hit]
+        seen = np.bincount(pos[hit], minlength=len(theirs)) > 0
+        return hit[at], seen[other_at]
 
     def iter_cells(self) -> Iterator[Cell]:
         names = list(self.measures)

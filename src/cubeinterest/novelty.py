@@ -7,10 +7,10 @@ partition, which also gives the occurrence-weighted variant
 (`weighted_novel_fraction`). Partitions carry exact counts only. Factored
 signatures are never enumerated: the covered count, the covered weight and
 the number of signatures holding the whole target (`fsdn`'s containment
-test) come from one `FactoredSignature.coverage` walk. Result cells are
-compared as packed keys, detailed areas as fact row ids. Belief coverage
-rolls each anchor up to the cells' levels and checks each cell only
-against the anchors in it.
+test) come from one `FactoredSignature.coverage` walk. Result cells meet
+through the keys each result indexes (`CellSet.meets`), detailed areas
+compare as row ids. Belief coverage rolls each anchor up to the cells'
+levels, meets the cells once and checks each only against its anchors.
 
 The detailed and extensional metrics take the query and each history item
 as a `CubeQuery` or a `context.HistoryEntry`, and read the rows, result
@@ -30,14 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .context import Anchor, BeliefStore, QueryOrEntry, as_entry, known_cells
-from .engine import (
-    Cell,
-    CellSet,
-    CubeQuery,
-    FactoredSignature,
-    evaluate,
-    pack_keys,
-)
+from .engine import Cell, CellSet, CubeQuery, FactoredSignature, evaluate
 from .errors import LevelMismatch
 from .mdm import Dimension
 
@@ -134,22 +127,26 @@ def comparable_same_level(q: CubeQuery,
 def same_level_partition(q: QueryOrEntry, others: Sequence[QueryOrEntry],
                          basis: str = "syntactic") -> CoveragePartition:
     """Coverage of q's same-level universe by pre-screened queries: the
-    query signature's coordinates for the syntactic basis, the result cells
-    for the extensional one, the former rolled up from each entry's detailed
-    signature, so an entry's condition compiles once in its life."""
+    query signature's coordinates for the syntactic basis, rolled up from
+    each entry's detailed signature, or the result cells, met through each
+    result's index (`CellSet.meets`), for the extensional one. Raises
+    LevelMismatch unless every other shares q's grouper levels."""
     if basis not in ("syntactic", "extensional"):
         raise ValueError(f"unknown basis {basis!r}")
     mine, others = as_entry(q), [as_entry(o) for o in others]
+    if any(o.query.groupers != mine.query.groupers for o in others):
+        raise LevelMismatch(
+            "same-level coverage needs all queries at the query's levels")
     if basis == "syntactic":
         return factored_partition(
             mine.detailed_signature.rolled_up(mine.query.groupers),
             [o.detailed_signature.rolled_up(o.query.groupers) for o in others])
-    keys = mine.result_cells.packed_keys()
-    hits = np.zeros(len(keys), dtype=np.int64)
+    cells = mine.result_cells
+    hits = np.zeros(cells.size, dtype=np.int64)
     for o in others:
-        hits += np.isin(keys, o.result_cells.packed_keys())
+        hits += cells.meets(o.result_cells, cells.depths)[0]
     cov = int(np.count_nonzero(hits))
-    return CoveragePartition(len(keys), cov, len(keys) - cov,
+    return CoveragePartition(cells.size, cov, cells.size - cov,
                              covered_weight=float(hits.sum()))
 
 
@@ -248,11 +245,10 @@ def belief_novelty(q: QueryOrEntry, beliefs: BeliefStore, pi: float,
     cells = (evaluate(replace(mine.query, groupers=cube.base_levels()),
                       mine.rows)
              if mode == "detailed" else mine.result_cells)
-    depths = [d.level(lv).depth for d, lv in zip(cube.dims, cells.levels)]
     admits = operator.le if mode == "arbitrary" else operator.eq
     eligible = [a for a in star
                 if all(admits(d.level(al).depth, depth)
-                       for d, (al, _), depth in zip(cube.dims, a, depths))]
+                       for d, (al, _), depth in zip(cube.dims, a, cells.depths))]
     cov = int(covered_cells(cells, eligible).sum())
     part = CoveragePartition(cells.size, cov, cells.size - cov,
                              skipped_statements=len(star) - len(eligible))
@@ -272,25 +268,23 @@ def covered_cells(cells: CellSet, anchors: Sequence[Anchor]) -> np.ndarray:
     """One bool per cell: True iff the cell's detailed signature is a subset
     of the union of the anchors' detailed signatures. Anchors above the
     cells' levels raise LevelMismatch; the others, rolled up, each lie inside
-    one cell, which is checked only against the anchors inside it."""
+    one cell (`CellSet.meets`), which is checked only against those."""
     dims = cells.dims
-    depths = [d.level(lv).depth for d, lv in zip(dims, cells.levels)]
     rolled = np.empty((len(anchors), len(dims)), dtype=np.int64)
     for i, anchor in enumerate(anchors):
         for j, (level, mid) in enumerate(anchor):
             depth = dims[j].level(level).depth
-            if depth > depths[j]:
+            if depth > cells.depths[j]:
                 raise LevelMismatch(
                     f"anchor level {level} is above cell level "
                     f"{cells.levels[j]} on {dims[j].name}")
-            rolled[i, j] = dims[j].ancestor_map(depth, depths[j])[mid]
+            rolled[i, j] = dims[j].ancestor_map(depth, cells.depths[j])[mid]
     covered = np.zeros(cells.size, dtype=bool)
-    keys = cells.packed_keys()
-    anchor_keys = pack_keys(rolled, cells.domain_sizes())
-    for c in np.flatnonzero(np.isin(keys, anchor_keys)):
+    holds, _ = cells.meets(CellSet(dims, cells.levels, rolled), cells.depths)
+    for c in np.flatnonzero(holds):
         target = _detailed_box(dims, zip(cells.levels, cells.coords[c].tolist()))
-        inside = [_detailed_box(dims, anchors[i])
-                  for i in np.flatnonzero(anchor_keys == keys[c])]
+        inside = [_detailed_box(dims, anchors[i]) for i in
+                  np.flatnonzero((rolled == cells.coords[c]).all(axis=1))]
         covered[c] = target.coverage(inside)[0] == target.size
     return covered
 

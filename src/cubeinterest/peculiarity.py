@@ -5,9 +5,9 @@ levels, aggregates), value-based distances over result cells (directed
 closest-relative and Hausdorff, built on the hierarchy hop-count cell
 distance), and Jaccard distance over detailed areas with k-NN selection.
 The cell distance depends only on the per-dimension depths of the cells'
-least common ancestors (LCA), so cells are never paired up: both sets are
-rolled up to each LCA-depth profile and matched as packed keys, both ways,
-by one sorted probe. One such walk per pair of results gives both scores.
+least common ancestors (LCA), so cells are never paired up: at each
+LCA-depth profile both sets meet, both ways, by one binary search of the
+keys each indexes (`CellSet.meets`). One walk per pair gives both scores.
 Detailed areas are fact row ids, and the Jaccard intersection with each
 member is counted from q's one probe of it (`HistoryEntry.hits`).
 """
@@ -157,13 +157,11 @@ def _profiles(a: CellSet, b: CellSet):
         raise SchemaMismatch("cell sets are over different dimensions")
     if a.size == 0 or b.size == 0:
         raise EmptyResult("cell distance needs non-empty cell sets")
-    own_a = [d.level(lv).depth for d, lv in zip(a.dims, a.levels)]
-    own_b = [d.level(lv).depth for d, lv in zip(b.dims, b.levels)]
     ranges = [range(max(da, db), d.height + 1)
-              for d, da, db in zip(a.dims, own_a, own_b)]
+              for d, da, db in zip(a.dims, a.depths, b.depths)]
     for depths in itertools.product(*ranges):
         total = 0.0
-        for d, da, db, dl in zip(a.dims, own_a, own_b, depths):
+        for d, da, db, dl in zip(a.dims, a.depths, b.depths, depths):
             total += ((dl - da) + (dl - db)) / (2.0 * d.height)
         yield total / len(a.dims), depths
 
@@ -172,25 +170,12 @@ def nearest_cell_distances(a: CellSet, b: CellSet
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-cell distances of `a` to `b` and of `b` to `a`, from one walk
     over the profiles: per cell, the least distance of a profile at which
-    its key appears among the other set's."""
-    return _nearest(a, b, {})
-
-
-def _nearest(a: CellSet, b: CellSet, rolled_b: dict):
-    """`nearest_cell_distances`, memoising b's (sorted unique keys, inverse)
-    per depth tuple in `rolled_b`. One binary-search probe of a's keys gives
-    a's hits, and the unique keys hit, read through the inverse, give b's."""
+    its key appears among the other set's (`CellSet.meets`)."""
     a_to_b, b_to_a = np.full(a.size, np.inf), np.full(b.size, np.inf)
     for dist, depths in _profiles(a, b):
-        if depths not in rolled_b:
-            rolled_b[depths] = np.unique(b.rollup_keys(depths), return_inverse=True)
-        uniq, inverse = rolled_b[depths]
-        keys = a.rollup_keys(depths)
-        pos = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
-        hit = uniq[pos] == keys
-        np.putmask(a_to_b, hit & (a_to_b > dist), dist)
-        seen = np.bincount(pos[hit], minlength=len(uniq)) > 0
-        np.putmask(b_to_a, seen[inverse] & (b_to_a > dist), dist)
+        hit_a, hit_b = a.meets(b, depths)
+        np.putmask(a_to_b, hit_a & (a_to_b > dist), dist)
+        np.putmask(b_to_a, hit_b & (b_to_a > dist), dist)
     return a_to_b, b_to_a
 
 
@@ -202,7 +187,8 @@ def pairwise_cell_distances(a: CellSet, b: CellSet) -> np.ndarray:
             f"{a.size}x{b.size} cell pairs exceed the cap of {PAIR_CAP}")
     out = np.full((a.size, b.size), np.inf)
     for dist, depths in _profiles(a, b):
-        hit = a.rollup_keys(depths)[:, None] == b.rollup_keys(depths)
+        (ua, ia), (ub, ib) = a.index(depths), b.index(depths)
+        hit = ua[ia][:, None] == ub[ib]
         np.minimum(out, np.where(hit, dist, np.inf), out=out)
     return out
 
@@ -234,8 +220,9 @@ def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
                       ) -> tuple[float, float] | None:
     """Aggregate result-cell distances of q to a query collection, as the
     pair (closest-relative directed from each member towards q, Hausdorff),
-    both from one profile walk per member (`nearest_cell_distances`). The
-    walks share q's keys, rolled up once per depth tuple for this call only.
+    both from one profile walk per member (`nearest_cell_distances`). Each
+    result indexes its rolled-up keys once per depth tuple in its life, so
+    the walks share q's index, and a history entry's lasts across calls.
 
     Results are read from entries, and a bare query is evaluated once. A
     cell distance needs cells on both sides, so a member with an empty
@@ -249,9 +236,9 @@ def value_peculiarity(q: QueryOrEntry, collection: Sequence[QueryOrEntry],
                if r.size]
     if not mine.size or not results:
         return None
-    closest, hausdorff, rolled = [], [], {}
+    closest, hausdorff = [], []
     for r in results:
-        rq, qr = _nearest(r, mine, rolled)
+        rq, qr = nearest_cell_distances(r, mine)
         closest.append(float(rq.mean()))
         hausdorff.append(max(float(rq.max()), float(qr.max())))
     return agg.apply(closest), agg.apply(hausdorff)

@@ -22,6 +22,7 @@ from cubeinterest.context import (
 from cubeinterest.cli import main
 from cubeinterest.engine import CellSet, DetailedCube, evaluate
 from cubeinterest.errors import (
+    DimensionMismatch,
     EmptyFile,
     HistoryConsistencyError,
     MalformedFactRow,
@@ -101,6 +102,24 @@ def test_append_rejects_result_at_other_levels():
         history.append(q, result=relabelled)
     history.append(q, result=result)
     assert len(history) == 1
+
+
+def test_malformed_result_raises_dimension_mismatch():
+    """A supplied result whose measure column is short, or whose
+    coordinates do not have one column per dimension, is refused when it
+    is built; an empty coordinate array of any shape is an empty set."""
+    cube = generate_star_data(20_000, 7).cube()
+    q = qlang.parse_query("SELECT avg(Amt) BY Account.District, Date.Month "
+                          "WHERE Date.Year IN {1996}", cube)
+    r = evaluate(q)
+    with pytest.raises(DimensionMismatch):
+        QueryHistory().append(q, CellSet(r.dims, r.levels, r.coords, {
+            "avg(Amt)": r.measures["avg(Amt)"][:3]}))
+    with pytest.raises(DimensionMismatch):
+        CellSet(r.dims, r.levels, np.zeros((6, 2)))
+    with pytest.raises(DimensionMismatch):
+        CellSet(r.dims, r.levels[:2], r.coords)
+    assert CellSet(r.dims, r.levels, np.array([])).coords.shape == (0, 3)
 
 
 def test_sessions_remain_separable(pkdd_history):

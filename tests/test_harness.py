@@ -462,29 +462,72 @@ def test_one_profile_walk_per_history_result(monkeypatch, star_cube):
     assert len(walks) == len(nonempty) == len(ctx.history) - 1
 
 
+def _index_calls(monkeypatch) -> list:
+    """Record (cell set, depths, index returned) per `CellSet.index` call.
+    The list holds every index returned, so an index built anew is a new
+    object and one the set kept is the same object again."""
+    calls = []
+    orig = CellSet.index
+
+    def counted(self, depths):
+        out = orig(self, depths)
+        calls.append((self, tuple(depths), out))
+        return out
+
+    monkeypatch.setattr(CellSet, "index", counted)
+    return calls
+
+
+def _builds(calls, cells) -> dict:
+    """Depth tuple -> number of distinct indexes returned for `cells`."""
+    out = {}
+    for c, depths, index in calls:
+        if c is cells:
+            out.setdefault(depths, set()).add(id(index))
+    return {depths: len(ids) for depths, ids in out.items()}
+
+
 def test_query_result_rolled_once_per_depth_tuple(monkeypatch, star_cube):
-    """One value-peculiarity call rolls q's result up at most once per
+    """One value-peculiarity call builds q's result index at most once per
     distinct depth tuple, however many members' profiles share it, and
     scores as one plain `nearest_cell_distances` call per member does."""
     ctx, q = _star_session(star_cube)
-    mine, entries = HistoryEntry(q), ctx.history.entries
+    entries = ctx.history.entries
     results = [e.result_cells for e in entries]
     assert len({r.levels for r in results}) >= 3
-    plain = [peculiarity.nearest_cell_distances(r, mine.result_cells)
+
+    def fresh(c):
+        return CellSet(c.dims, c.levels, c.coords)
+
+    plain = [peculiarity.nearest_cell_distances(fresh(r), evaluate(q))
              for r in results]
-    rolled = []
-    orig = CellSet.rollup_keys
-
-    def counted(self, depths):
-        if self is mine.result_cells:
-            rolled.append(tuple(depths))
-        return orig(self, depths)
-
-    monkeypatch.setattr(CellSet, "rollup_keys", counted)
+    mine = HistoryEntry(q)
+    cells = mine.result_cells
+    calls = _index_calls(monkeypatch)
     got = peculiarity.value_peculiarity(mine, entries)
-    assert rolled and len(rolled) == len(set(rolled))
+    builds = _builds(calls, cells)
+    assert builds and set(builds.values()) == {1}
+    assert sum(c is cells for c, _, _ in calls) > len(builds)
     assert got == (sum(rq.mean() for rq, _ in plain) / len(plain),
                    sum(max(rq.max(), qr.max()) for rq, qr in plain) / len(plain))
+
+
+def test_second_assessment_builds_no_history_index(monkeypatch, star_cube):
+    """History results never change, so the indexes the first assessment
+    builds on them serve the second, which builds none; it scores as the
+    first does."""
+    ctx, q = _star_session(star_cube)
+    calls = _index_calls(monkeypatch)
+    first = interestingness_vector(q, ctx)
+    kept = {(id(c), depths): index for c, depths, index in calls}
+    results = [e.result_cells for e in ctx.history.entries]
+    assert any(c is r for c, _, _ in calls for r in results)
+    calls.clear()
+    second = interestingness_vector(q, ctx)
+    mine = [(c, d, x) for c, d, x in calls if any(c is r for r in results)]
+    assert mine
+    assert all(kept.get((id(c), d)) is x for c, d, x in mine)
+    assert second.scores == first.scores
 
 
 def test_plain_calls_keep_no_memo(monkeypatch, star_cube):

@@ -6,6 +6,7 @@ from conftest import build_instance
 from cubeinterest.context import BeliefStore
 from cubeinterest.engine import Cell, DetailedCube, evaluate
 from cubeinterest.errors import LevelMismatch
+from cubeinterest.harness import generate_star_data
 from cubeinterest.mdm import dimension_from_rows
 from cubeinterest.novelty import (
     belief_novelty,
@@ -15,6 +16,7 @@ from cubeinterest.novelty import (
     pden,
     pdsn,
     same_level_novelty,
+    same_level_partition,
 )
 from cubeinterest import qlang
 
@@ -105,6 +107,21 @@ def test_same_level_skips_content_breaking_filters(hand):
                     "WHERE Geo.Country IN {Greece} AND Date.Month IN {1996-01}")
     score, _ = same_level_novelty(q, [qi], "syntactic")
     assert score == 1.0
+
+
+def test_same_level_partition_rejects_other_levels():
+    """An other at coarser or finer levels raises LevelMismatch on both
+    bases: its cells lie in another key space, and none is q's."""
+    cube = generate_star_data(20_000, 7).cube()
+    where = "WHERE Date.Year IN {1996}"
+    q = q_of(cube, f"SELECT avg(Amt) BY Account.District, Date.Month {where}")
+    for by in ("Account.Region, Date.Year", "Account.Account, Date.Day"):
+        o = q_of(cube, f"SELECT avg(Amt) BY {by} {where}")
+        for basis in ("syntactic", "extensional"):
+            with pytest.raises(LevelMismatch):
+                same_level_partition(q, [q, o], basis)
+    for basis in ("syntactic", "extensional"):
+        assert same_level_partition(q, [q], basis).novel_count == 0
 
 
 def test_same_level_matches_oracle_random():

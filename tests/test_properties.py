@@ -28,6 +28,7 @@ from cubeinterest.engine import (
     cell_distance,
     condition_signature,
     evaluate,
+    pack_keys,
     query_signature_factored,
 )
 from cubeinterest.errors import NominalLooseUnsupported
@@ -122,10 +123,11 @@ def test_result_distance_axioms(seed):
         assert np.array_equal(b_to_a, b_to_a_swapped)
 
 
-def _cell_set(data, dims) -> CellSet:
-    """A random non-empty cell set: per dimension a level (ALL included)
-    and the members at it below one random ancestor, so that many cells
-    share ancestors and their rolled-up keys repeat."""
+def _cell_set(data, dims, min_size=1, unique=True) -> CellSet:
+    """A random cell set: per dimension a level (ALL included) and the
+    members at it below one random ancestor, so that many cells share
+    ancestors and their rolled-up keys repeat; by default non-empty and
+    with unique coordinates, as a query result has."""
     levels, pools = [], []
     for d in dims:
         lo = data.draw(st.integers(0, d.height))
@@ -135,8 +137,34 @@ def _cell_set(data, dims) -> CellSet:
         levels.append(d.levels[lo].name)
         pools.append(np.flatnonzero(amap == top).tolist())
     coords = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
-                                min_size=1, max_size=12, unique=True))
+                                min_size=min_size, max_size=12, unique=unique))
     return CellSet(dims, tuple(levels), np.array(coords))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(seeds, st.data())
+def test_meets_matches_isin_of_rolled_keys(seed, data):
+    """`meets` both ways equals `np.isin` over the packed keys of the cells'
+    ancestors, with repeated coordinates, an empty side and two sets at
+    different levels."""
+    dims = small(seed, n_queries=1).cube.dims
+    a = _cell_set(data, dims, min_size=0, unique=False)
+    b = _cell_set(data, dims, min_size=0, unique=False)
+    depths = tuple(data.draw(st.integers(max(da, db), d.height))
+                   for d, da, db in zip(dims, a.depths, b.depths))
+
+    def keys(c):
+        rolled = np.array([[d.ancestor_map(own, to)[i]
+                            for d, own, to, i in zip(dims, c.depths, depths, row)]
+                           for row in c.coords.tolist()], dtype=np.int64)
+        return pack_keys(rolled, [d.size(d.levels[t])
+                                  for d, t in zip(dims, depths)])
+
+    empty = CellSet(dims, b.levels, np.array([]))
+    for x, y in ((a, b), (b, a), (a, empty), (empty, a)):
+        hit_x, hit_y = x.meets(y, depths)
+        assert np.array_equal(hit_x, np.isin(keys(x), keys(y)))
+        assert np.array_equal(hit_y, np.isin(keys(y), keys(x)))
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
