@@ -92,10 +92,6 @@ def _load_context(args) -> tuple[SessionContext, object]:
 
 
 def _assess(args) -> int:
-    if not 0.0 <= args.pi <= 1.0:
-        raise CubeInterestError(f"--pi {args.pi} outside [0,1]")
-    if args.k < 1:
-        raise CubeInterestError(f"--k {args.k} is below 1")
     weights = DistanceWeights()
     if args.weights:
         try:
@@ -105,15 +101,15 @@ def _assess(args) -> int:
             weights = DistanceWeights(*parts)
         except ValueError as exc:
             raise CubeInterestError(f"--weights: {exc}") from exc
-    ctx, cube = _load_context(args)
-    q = qlang.parse_query(args.query, cube)
     metrics = tuple(m.strip() for m in args.metrics.split(",")) \
         if args.metrics else METRIC_GROUPS
-    for m in metrics:
-        if m not in METRIC_GROUPS:
-            raise CubeInterestError(f"unknown metric group {m!r}")
-    cfg = AssessConfig(pi=args.pi, jaccard_k=args.k, weights=weights,
-                       metrics=metrics)
+    try:
+        cfg = AssessConfig(pi=args.pi, jaccard_k=args.k, weights=weights,
+                           metrics=metrics)
+    except ValueError as exc:
+        raise CubeInterestError(f"--{exc}") from exc
+    ctx, cube = _load_context(args)
+    q = qlang.parse_query(args.query, cube)
     report = interestingness_vector(q, ctx, cfg)
     Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
     for name in METRIC_GROUPS:

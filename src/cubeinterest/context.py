@@ -7,14 +7,15 @@ probability for a value set, a value interval, or a label.
 
 Expected values and expected labels share one store type and one CSV
 loader, which resolves the header once so that a row costs dict lookups
-only. Session, belief and goal files are read by one line reader that
-skips blank and `#` lines.
+only. Session, belief, goal and rule files are read by one text read and
+split by one line reader that skips blank and `#` lines.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
@@ -35,15 +36,13 @@ from .engine import (
     evaluate,
 )
 from .errors import (
-    EmptyFile,
     HistoryConsistencyError,
-    MalformedFactRow,
     SchemaMismatch,
     UnknownLevel,
     UnknownMeasure,
     UnknownMember,
 )
-from .mdm import ALL_LEVEL, Dimension
+from .mdm import ALL_LEVEL, CsvTable, Dimension
 
 # An anchor pins a cell at explicit levels: one (level name, member id) pair
 # per cube dimension, in cube dimension order.
@@ -317,33 +316,27 @@ def load_expected_values(path: str | Path, cube: DetailedCube) -> ExpectedValues
 
 def load_expected_labels(path: str | Path, cube: DetailedCube) -> ExpectedLabels:
     """Read an expected-labels CSV: coordinate columns, `measure`, `label`."""
-    return _load_expectations(path, cube, ("label", "expected"), str.strip)
+    return _load_expectations(path, cube, ("label", "expected"),
+                              lambda text: sys.intern(text.strip()))
 
 
 def _load_expectations(path: str | Path, cube: DetailedCube,
                        value_columns: tuple[str, ...], parse) -> ExpectedValues:
-    """Read an expectation CSV: a `measure` column, a value column (the
-    first of `value_columns` present) and at most one coordinate column per
-    dimension, named by level, in any order (never `label` or `expected`).
-    Each coordinate column is resolved once, to its dimension, level and
-    label -> id memo; a dimension without one is anchored at ALL. `parse`
-    makes the stored value from the value field; a `ValueError` from it, a
-    float that is not finite and a row shorter than the header raise
-    `MalformedFactRow`. Errors past the header's read name the file and
-    the row, counted as `load_facts` does.
+    """Read an expectation CSV (a `CsvTable`): a `measure` column, a value
+    column (the first of `value_columns` present) and at most one coordinate
+    column per dimension, named by level, in any order (never `label` or
+    `expected`). Each coordinate column is resolved once, to its dimension,
+    level and label -> id memo; a dimension without one is anchored at ALL.
+    `parse` makes the stored value; a `ValueError` from it and a float that
+    is not finite raise `MalformedFactRow`. Errors name the file and row.
     """
-    path = Path(path)
     out = ExpectedValues()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyFile(f"{path}: empty expectation file") from None
+    with CsvTable(path, "expectation file") as table:
+        header = table.header
         lower = [h.lower() for h in header]
         at = [(None, None)] * len(cube.dims)  # per dimension: column, ids
         measures: dict[str, int] = {}
-        row_no = 1
+        row = header  # the row an error names; the header is row 1
         try:
             if "measure" not in lower:
                 raise UnknownMeasure("no `measure` column")
@@ -360,29 +353,30 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
                     raise UnknownLevel(f"columns {header[at[j][0]]!r} and {h!r} "
                                        f"both name levels of {dim.name}")
                 at[j] = c, _MemberIds(dim, dim.level(h))
-            for row_no, row in enumerate(reader, 2):
-                if not any(map(str.strip, row)):
-                    continue
-                if len(row) < len(header):
-                    raise MalformedFactRow(
-                        f"{len(row)} fields, header has {len(header)}")
+            for row in itertools.chain.from_iterable(table.chunks()):
                 anchor = tuple((ALL_LEVEL, 0) if c is None else
                                (ids.level.name, ids[row[c]]) for c, ids in at)
-                measure = row[m_col].strip()
+                # interned: a row's own string would pin its chunk's memory
+                measure = sys.intern(row[m_col].strip())
                 if measure not in measures:
                     measures[measure] = cube.measure_index(measure)
                 try:
                     value = parse(row[v_col])
                 except ValueError:
-                    raise MalformedFactRow(f"{header[v_col]} is not a number: "
-                                           f"{row[v_col]!r}") from None
+                    raise table.error(row, f"{header[v_col]} is not a number: "
+                                      f"{row[v_col]!r}") from None
                 if isinstance(value, float) and not math.isfinite(value):
-                    raise MalformedFactRow(f"{header[v_col]} is not finite: "
-                                           f"{row[v_col]!r}")
+                    raise table.error(row, f"{header[v_col]} is not finite: "
+                                      f"{row[v_col]!r}")
                 out.register(anchor, measure, value)
-        except (MalformedFactRow, UnknownLevel, UnknownMeasure, UnknownMember) as exc:
-            raise type(exc)(f"{path}: row {row_no}: {exc}") from None
+        except (UnknownLevel, UnknownMeasure, UnknownMember) as exc:
+            raise table.error(row, exc, type(exc)) from None
     return out
+
+
+def _text(path: str | Path) -> str:
+    """A text input, read as UTF-8 with or without a byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -416,25 +410,25 @@ class SessionContext:
         from . import qlang
 
         sid = session_id or Path(path).stem
-        for line in _lines(Path(path).read_text(encoding="utf-8")):
+        for line in _lines(_text(path)):
             self.history.append(qlang.parse_query(line, self.cube), session_id=sid)
 
     def load_belief_file(self, path: str | Path):
         from . import qlang
 
-        for line in _lines(Path(path).read_text(encoding="utf-8")):
+        for line in _lines(_text(path)):
             self.beliefs.add(qlang.parse_belief(line, self.cube))
 
     def load_goal_file(self, path: str | Path):
         from . import qlang
 
-        for line in _lines(Path(path).read_text(encoding="utf-8")):
+        for line in _lines(_text(path)):
             self.goals.append(qlang.parse_condition(line, self.cube))
 
     def load_label_rules(self, path: str | Path):
         from . import qlang
 
-        schemes, domain = qlang.parse_label_rules(Path(path).read_text(encoding="utf-8"))
+        schemes, domain = qlang.parse_label_rules(_text(path))
         self.labeling_schemes.update(schemes)
         if domain is not None:
             self.label_domain = domain

@@ -15,8 +15,6 @@ and the boxes holding the whole signature. Cell sets meet as packed keys
 
 from __future__ import annotations
 
-import csv
-import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -26,13 +24,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateCoordinates,
-    EmptyFile,
-    MalformedFactRow,
     UnknownLevel,
     UnknownMeasure,
     UnknownMember,
 )
-from .mdm import Dimension, Level, Member
+from .mdm import CsvTable, Dimension, Level, Member
 
 AGG_FUNCTIONS = ("sum", "avg", "count", "min", "max")
 
@@ -401,12 +397,6 @@ def pack_keys(coords: np.ndarray, domain_sizes: list[int]) -> np.ndarray:
 
 # --- fact loading -------------------------------------------------------------
 
-# Rows per chunk. The loader holds one chunk of row strings at a time. On a
-# 500K-row file (2-core host), 4,096-row chunks loaded in 0.45 s with a
-# 72 MB peak and 65,536-row chunks in 0.55 s with a 110 MB peak.
-_CHUNK_ROWS = 4096
-
-
 class _MemberIds(dict):
     """Raw label -> member id at one level (the base level by default), one
     `Dimension.member` lookup per distinct raw label."""
@@ -421,14 +411,6 @@ class _MemberIds(dict):
         return mid
 
 
-def _malformed(path: Path, first: int, raw: list[list[str]], row: list[str],
-               what: str, kind: type = MalformedFactRow) -> Exception:
-    """A `kind` error naming `row` by its number in the file; `raw` is its
-    chunk as read, starting at row number `first`."""
-    k = next(k for k, r in enumerate(raw) if r is row)
-    return kind(f"{path}: row {first + k}: {what}")
-
-
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -441,11 +423,10 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
     """Load a fact CSV whose header is base-level dimension columns followed
     by measure columns. Dimension order follows the header.
 
-    Blank rows are skipped, labels are stripped and measures are parsed by
-    Python's `float`. The file is read in chunks of rows and each chunk is
-    converted column by column, so the loader holds one chunk of row
-    strings plus the finished id and value columns, never the whole file
-    as rows.
+    The file is read by `CsvTable`: labels are stripped and measures are
+    parsed by Python's `float`. Each chunk of rows is converted column by
+    column, so the loader holds one chunk of row strings plus the finished
+    id and value columns, never the whole file as rows.
 
     Raises `EmptyFile` when the file has no header, `DimensionMismatch` when
     no header column names a base level or two name the same one (before
@@ -456,40 +437,26 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
     blank rows included), and `DuplicateCoordinates` when two rows share a
     coordinate tuple.
     """
-    path = Path(path)
     by_base = {d.base_level.name.lower(): d for d in dimensions}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyFile(f"{path}: empty fact file") from None
+    with CsvTable(path, "fact file") as table:
+        header = table.header
         dim_cols = [i for i, h in enumerate(header) if h.lower() in by_base]
         measure_cols = [i for i, h in enumerate(header) if h.lower() not in by_base]
         if not dim_cols:
             raise DimensionMismatch(
-                f"{path}: no dimension column matches a base level")
+                f"{table.path}: no dimension column matches a base level")
         names = [header[c].lower() for c in dim_cols]
         for k, name in enumerate(names):
             if name in names[:k]:
-                raise DimensionMismatch(
-                    f"{path}: column {header[dim_cols[k]]} repeats a base level")
+                raise DimensionMismatch(f"{table.path}: column "
+                                        f"{header[dim_cols[k]]} repeats a base level")
         if not measure_cols:
-            raise UnknownMeasure(f"{path}: no measure columns")
+            raise UnknownMeasure(f"{table.path}: no measure columns")
         dims = [by_base[header[c].lower()] for c in dim_cols]
         ids = [_MemberIds(d) for d in dims]
         coord_parts = [np.empty((len(dims), 0), dtype=np.int32)]  # dims x rows
         value_parts = [np.empty((0, len(measure_cols)), dtype=np.float64)]
-        row_no = 1  # rows read so far, header included
-        while raw := list(itertools.islice(reader, _CHUNK_ROWS)):
-            first, row_no = row_no + 1, row_no + len(raw)
-            chunk = [r for r in raw if r and any(map(str.strip, r))]
-            if not chunk:
-                continue
-            if min(map(len, chunk)) < len(header):
-                row = next(r for r in chunk if len(r) < len(header))
-                raise _malformed(path, first, raw, row, f"{len(row)} fields, "
-                                 f"header has {len(header)}")
+        for chunk in table.chunks():
             n = len(chunk)
             cols = list(zip(*chunk))
             try:
@@ -503,18 +470,17 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
                 # columns are read in turn: the first label its memo lacks failed
                 row = next(r for m, c in zip(ids, dim_cols) for r in chunk
                            if r[c] not in m)
-                raise _malformed(path, first, raw, row, str(exc),
-                                 UnknownMember) from None
+                raise table.error(row, exc, UnknownMember) from None
             except ValueError:
                 row, c = next((r, c) for r in chunk for c in measure_cols
                               if not _is_number(r[c]))
-                raise _malformed(path, first, raw, row, f"measure {header[c]} "
-                                 f"is not a number: {row[c]!r}") from None
+                raise table.error(row, f"measure {header[c]} is not a number: "
+                                  f"{row[c]!r}") from None
             if not np.isfinite(values).all():
                 i, k = np.argwhere(~np.isfinite(values))[0]
                 row, c = chunk[i], measure_cols[k]
-                raise _malformed(path, first, raw, row, f"measure {header[c]} "
-                                 f"is not finite: {row[c]!r}")
+                raise table.error(row, f"measure {header[c]} is not finite: "
+                                  f"{row[c]!r}")
             value_parts.append(values)
     return DetailedCube(tuple(dims), tuple(header[c] for c in measure_cols),
                         np.concatenate(coord_parts, axis=1).T,

@@ -42,8 +42,8 @@ class UnknownLevel(CubeInterestError):
 
 
 class MalformedFactRow(CubeInterestError):
-    """A fact or expectation row is shorter than the header or holds a
-    measure or expected value that is not a finite number."""
+    """A CSV row is shorter than its header, or a fact or expectation row
+    holds a measure or expected value that is not a finite number."""
 
 
 class DuplicateCoordinates(CubeInterestError):

@@ -52,6 +52,17 @@ class AssessConfig:
     weights: DistanceWeights = DEFAULT_WEIGHTS
     metrics: tuple[str, ...] = METRIC_GROUPS
 
+    def __post_init__(self):
+        # each message starts with the knob's short name, which the CLI's
+        # flag for it repeats
+        if not 0.0 <= self.pi <= 1.0:
+            raise ValueError(f"pi {self.pi} outside [0,1]")
+        if self.jaccard_k < 1:
+            raise ValueError(f"k {self.jaccard_k} is below 1")
+        for m in self.metrics:
+            if m not in METRIC_GROUPS:
+                raise ValueError(f"metrics: unknown metric group {m!r}")
+
     def to_dict(self) -> dict:
         return {
             "pi": self.pi,

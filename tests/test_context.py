@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,31 @@ def test_append_rejects_tampered_measures(pkdd_history):
     history = QueryHistory()
     with pytest.raises(HistoryConsistencyError):
         history.append(pkdd_history[0], result=tampered)
+
+
+def _cells(result, coords=None, levels=None, **measures):
+    return CellSet(result.dims, levels or result.levels,
+                   result.coords if coords is None else coords,
+                   measures or result.measures)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda r: _cells(r, levels=("Region", "ALL", "Month")),
+     "cached result is at different levels"),
+    (lambda r: _cells(r, r.coords[1:],
+                      **{"avg(Amt)": r.measures["avg(Amt)"][1:]}),
+     "cached result has different coordinates"),
+    (lambda r: _cells(r, **{"sum(Amt)": r.measures["avg(Amt)"]}),
+     "cached result has different measures"),
+    (lambda r: _cells(r, **{"avg(Amt)": r.measures["avg(Amt)"] + 1.0}),
+     "cached result disagrees on measure avg(Amt)"),
+], ids=["levels", "coordinates", "measures", "values"])
+def test_context_input_checks(pkdd_history, tamper, message):
+    """A supplied result that is not the query's raises
+    HistoryConsistencyError naming what differs."""
+    q = pkdd_history[0]
+    with pytest.raises(HistoryConsistencyError, match=f"^{re.escape(message)}$"):
+        QueryHistory().append(q, result=tamper(evaluate(q)))
 
 
 def test_append_accepts_result_in_any_row_order(pkdd_history):

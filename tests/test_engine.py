@@ -63,6 +63,34 @@ def tiny():
     return cube
 
 
+def _misaligned_signatures(t):
+    sig = condition_signature(SelectionCondition(), t)
+    return sig.coverage([sig.rolled_up(("Country", "Month"))])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda t: DetailedCube(t.dims, t.measures, t.coords[:, :1], t.values),
+     DimensionMismatch, "coordinate matrix shape mismatch"),
+    (lambda t: DetailedCube(t.dims, ("Amt", "Qty"), t.coords, t.values),
+     UnknownMeasure, "measure matrix shape mismatch"),
+    (lambda t: DetailedCube(t.dims, t.measures, t.coords + [0, 1], t.values),
+     UnknownMember, "fact column Date holds out-of-range member ids"),
+    (lambda t: CubeQuery(t, SelectionCondition(), ("City",), (("sum", "Amt"),)),
+     DimensionMismatch, "query has 1 groupers for 2 dimensions"),
+    (lambda t: CubeQuery(t, SelectionCondition(), ("City", "Month"), ()),
+     UnknownMeasure, "query declares no aggregates"),
+    (lambda t: AtomicFilter("Geo", "City", frozenset()),
+     UnknownMember, "atom on Geo.City has an empty value set"),
+    (_misaligned_signatures,
+     DimensionMismatch, "factored signatures are at different schemata"),
+], ids=["coords-shape", "values-shape", "id-out-of-range", "grouper-count",
+        "no-aggregates", "empty-atom", "misaligned-signatures"])
+def test_engine_input_checks(tiny, build, error, message):
+    """Each check on outside input raises its error class and message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(tiny)
+
+
 def test_detailed_proxy_year_to_days(pkdd_cube):
     q = qlang.parse_query(
         "SELECT avg(Amt) BY Account.District WHERE Date.Year IN {1996}",

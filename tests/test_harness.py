@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -13,7 +14,11 @@ from cubeinterest.context import (
     filter_history_same_measures,
 )
 from cubeinterest.engine import CellSet, detailed_area_keys, evaluate
-from cubeinterest.errors import EmptyResult
+from cubeinterest.errors import (
+    EmptyResult,
+    MetricComputationError,
+    UnlabeledValue,
+)
 from cubeinterest.harness import (
     AssessConfig,
     BenchConfig,
@@ -100,6 +105,44 @@ def test_metric_subset(pkdd_context, pkdd_query):
     assert "novelty" in report.scores
     assert "peculiarity" not in report.scores
     assert report.vector["peculiarity"] is None
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pi": 2.0}, "pi 2.0 outside [0,1]"),
+    ({"pi": -0.5}, "pi -0.5 outside [0,1]"),
+    ({"jaccard_k": 0}, "k 0 is below 1"),
+    ({"metrics": ("Novelty",)}, "metrics: unknown metric group 'Novelty'"),
+])
+def test_assess_config_refuses_bad_knobs(kwargs, message):
+    """A knob the assessment would fail on, or silently ignore, is refused
+    when the config is built."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AssessConfig(**kwargs)
+
+
+def test_failing_metric_names_its_key():
+    """A module error inside a metric fails the vector as a
+    MetricComputationError under the metric's timing key, with the module
+    error as its cause: a value outside every interval of a labeling scheme
+    with a gap."""
+    cube = generate_star_data(20_000, 7).cube()
+    ctx = SessionContext(cube)
+    schemes, _ = qlang.parse_label_rules("Amt: [0..10) -> Low\n"
+                                         "Amt: [10..20) -> Mid\n")
+    ctx.labeling_schemes.update(schemes)
+    account, _, date = cube.dims
+    anchor = (("District", account.member("District", "D01").id), ("ALL", 0),
+              ("Month", date.member("Month", "1996-01").id))
+    ctx.expected_labels.register(anchor, "Amt", "Low")
+    ctx.history.append(qlang.parse_query(
+        "SELECT sum(Amt) BY Account.District, Date.Month", cube))
+    q = qlang.parse_query("SELECT sum(Amt) BY Account.District, Date.Month "
+                          "WHERE Date.Year IN {1996}", cube)
+    with pytest.raises(MetricComputationError) as err:
+        interestingness_vector(q, ctx)
+    assert err.value.metric == "surprise.label"
+    assert isinstance(err.value.cause, UnlabeledValue)
+    assert str(err.value).startswith("surprise.label: value ")
 
 
 def test_report_json_round_trip(pkdd_context, pkdd_query):
@@ -775,13 +818,14 @@ def _beliefs_argv(text):
     _assess_argv("--pi", "-0.5"),
     _assess_argv("--k", "0"),
     _assess_argv("--k", "-1"),
+    _assess_argv("--metrics", "novelty,Surprise"),
     _beliefs_argv("P(Amt IN {²}) = 0.5\n"),
     lambda out: ["bench", "--reps", "0", "--out", str(out)],
     lambda out: ["bench", "--base-sizes", "10,x", "--out", str(out)],
     lambda out: ["bench", "--history-sizes", "0", "--out", str(out)],
     lambda out: ["gen", "--rows", "0", "--out", str(out)],
 ], ids=["weights-sum", "weights-text", "pi-with-beliefs", "pi-alone",
-        "k-zero", "k-negative", "belief-non-decimal-digit",
+        "k-zero", "k-negative", "metrics-unknown", "belief-non-decimal-digit",
         "bench-reps", "bench-base-sizes", "bench-history-sizes", "gen-rows"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

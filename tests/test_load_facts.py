@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cubeinterest import engine
+from cubeinterest import mdm
 from cubeinterest.cli import main
 from cubeinterest.engine import load_facts
 from cubeinterest.errors import (
@@ -35,7 +35,7 @@ def _write(path, header, rows):
 
 def test_round_trip_across_chunks(star):
     out, dims = star
-    assert ROWS > 2 * engine._CHUNK_ROWS
+    assert ROWS > 2 * mdm._CHUNK_ROWS
     cube = load_facts(out / "facts.csv", dims)
     ref = generate_star_data(ROWS, SEED).cube()
     assert cube.measures == ("Amt",)
@@ -81,7 +81,7 @@ def test_blank_lines_and_padding(star, tmp_path):
 def test_duplicates_in_different_chunks(star, tmp_path):
     out, dims = star
     lines = (out / "facts.csv").read_text().splitlines()
-    assert len(lines) - 1 > engine._CHUNK_ROWS
+    assert len(lines) - 1 > mdm._CHUNK_ROWS
     path = _write(tmp_path / "f.csv", lines[0], [*lines[1:], lines[1]])
     with pytest.raises(DuplicateCoordinates):
         load_facts(path, dims)
@@ -134,7 +134,7 @@ def test_non_finite_measure_is_malformed(star, tmp_path, monkeypatch, value):
     """A measure `float` parses but that is not finite is refused, naming
     the file, the row (in a later chunk, blank rows counted) and the field."""
     _, dims = star
-    monkeypatch.setattr(engine, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(mdm, "_CHUNK_ROWS", 3)
     path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
         "A0001,A,1996-01-01,10",
         "",
@@ -188,7 +188,7 @@ def test_unknown_label_names_file_and_row(star, tmp_path, monkeypatch,
     """The row is found in a later chunk, blank rows counted, whichever
     column holds the unknown label."""
     _, dims = star
-    monkeypatch.setattr(engine, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(mdm, "_CHUNK_ROWS", 3)
     path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
         "A0001,A,1996-01-01,10",
         "",

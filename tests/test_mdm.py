@@ -13,7 +13,7 @@ from cubeinterest.errors import (
     UnknownMember,
 )
 from cubeinterest.harness import generate_star_data
-from cubeinterest.mdm import dimension_from_rows, load_dimension
+from cubeinterest.mdm import Dimension, dimension_from_rows, load_dimension
 
 
 def test_anc_city_to_continent(geo_dimension):
@@ -138,6 +138,34 @@ def test_load_dimension_empty(tmp_path):
     path2.write_text("")
     with pytest.raises(EmptyFile):
         load_dimension(path2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dimension("G", ["A", "all"], [["a"], ["x"]], [np.array([0])]),
+     "level ALL is implicit and may not be declared"),
+    (lambda: Dimension("G", ["A", "a"], [["a"], ["x"]], [np.array([0])]),
+     "duplicate level names"),
+    (lambda: Dimension("G", ["A", "B"], [["a"]], []),
+     "level/label/parent arity mismatch"),
+    (lambda: Dimension("G", ["A"], [["a", "a"]], []),
+     "duplicate member labels at level A"),
+    (lambda: Dimension("G", ["A", "B"], [["a", "b"], ["x"]], [np.array([0])]),
+     "parent map at depth 0 is not total"),
+    (lambda: Dimension("G", ["A", "B"], [["a", "b"], ["x"]],
+                       [np.array([0, 1])]),
+     "parent id out of range at depth 0"),
+    (lambda: dimension_from_rows("G", ["A", "B"], [("a", " ")]),
+     "empty member label in row ('a', ' ')"),
+    (lambda: dimension_from_rows("G", ["A", "B"], [("a", "x"), ("b",)]),
+     "row ('b',) has 1 fields, expected 2"),
+], ids=["all-declared", "duplicate-levels", "arity", "duplicate-labels",
+        "parent-not-total", "parent-out-of-range", "empty-label", "short-row"])
+def test_dimension_input_checks(build, message):
+    """Each check on outside input raises InconsistentRollup and its
+    message, naming the dimension."""
+    with pytest.raises(InconsistentRollup,
+                       match=f"^dimension G: {re.escape(message)}$"):
+        build()
 
 
 def test_three_row_direct_construction():

@@ -1,3 +1,4 @@
+import re
 import string
 
 import numpy as np
@@ -301,6 +302,20 @@ def test_malformed_queries_positioned(pkdd_cube, text):
     with pytest.raises(ParseError) as err:
         qlang.parse_query(text, pkdd_cube)
     assert 0 <= err.value.position <= len(text)
+
+
+@pytest.mark.parametrize("parse, text, error, message", [
+    (qlang.parse_query, "SELECT median(Amt) BY Date.Month", UnknownIdentifier,
+     "unknown aggregate function 'median' at offset 7"),
+    (qlang.parse_belief, "P(Amt IN [200..100) | District=Olomouc) = 0.5",
+     ParseError, "interval upper bound below lower bound at offset 15"),
+    (lambda text, cube: qlang.parse_label_rules(text), "Amt: [5..1) -> Low",
+     ParseError, "interval upper bound below lower bound at offset 9"),
+], ids=["unknown-aggregate", "belief-reversed-interval",
+        "rule-reversed-interval"])
+def test_qlang_input_checks(pkdd_cube, parse, text, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse(text, pkdd_cube)
 
 
 def test_error_carries_expected_tokens(pkdd_cube):
