@@ -13,7 +13,6 @@ split by one line reader that skips blank and `#` lines.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -336,7 +335,6 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
         lower = [h.lower() for h in header]
         at = [(None, None)] * len(cube.dims)  # per dimension: column, ids
         measures: dict[str, int] = {}
-        row = header  # the row an error names; the header is row 1
         try:
             if "measure" not in lower:
                 raise UnknownMeasure("no `measure` column")
@@ -353,24 +351,24 @@ def _load_expectations(path: str | Path, cube: DetailedCube,
                     raise UnknownLevel(f"columns {header[at[j][0]]!r} and {h!r} "
                                        f"both name levels of {dim.name}")
                 at[j] = c, _MemberIds(dim, dim.level(h))
-            for row in itertools.chain.from_iterable(table.chunks()):
+            for row in table.rows():
                 anchor = tuple((ALL_LEVEL, 0) if c is None else
                                (ids.level.name, ids[row[c]]) for c, ids in at)
-                # interned: a row's own string would pin its chunk's memory
+                # interned: a row's own string would pin its block's memory
                 measure = sys.intern(row[m_col].strip())
                 if measure not in measures:
                     measures[measure] = cube.measure_index(measure)
                 try:
                     value = parse(row[v_col])
                 except ValueError:
-                    raise table.error(row, f"{header[v_col]} is not a number: "
+                    raise table.error(f"{header[v_col]} is not a number: "
                                       f"{row[v_col]!r}") from None
                 if isinstance(value, float) and not math.isfinite(value):
-                    raise table.error(row, f"{header[v_col]} is not finite: "
+                    raise table.error(f"{header[v_col]} is not finite: "
                                       f"{row[v_col]!r}")
                 out.register(anchor, measure, value)
         except (UnknownLevel, UnknownMeasure, UnknownMember) as exc:
-            raise table.error(row, exc, type(exc)) from None
+            raise table.error(exc, type(exc)) from None
     return out
 
 

@@ -424,8 +424,8 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
     by measure columns. Dimension order follows the header.
 
     The file is read by `CsvTable`: labels are stripped and measures are
-    parsed by Python's `float`. Each chunk of rows is converted column by
-    column, so the loader holds one chunk of row strings plus the finished
+    parsed by Python's `float`. Each block of text's columns are converted
+    whole, so the loader holds one block's field strings plus the finished
     id and value columns, never the whole file as rows.
 
     Raises `EmptyFile` when the file has no header, `DimensionMismatch` when
@@ -456,9 +456,8 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
         ids = [_MemberIds(d) for d in dims]
         coord_parts = [np.empty((len(dims), 0), dtype=np.int32)]  # dims x rows
         value_parts = [np.empty((0, len(measure_cols)), dtype=np.float64)]
-        for chunk in table.chunks():
-            n = len(chunk)
-            cols = list(zip(*chunk))
+        for cols in table.columns():
+            n = len(cols[0])
             try:
                 coord_parts.append(np.stack(
                     [np.fromiter(map(m.__getitem__, cols[c]), np.int32, count=n)
@@ -468,19 +467,19 @@ def load_facts(path: str | Path, dimensions: list[Dimension]) -> DetailedCube:
                      for c in measure_cols], axis=1)
             except UnknownMember as exc:
                 # columns are read in turn: the first label its memo lacks failed
-                row = next(r for m, c in zip(ids, dim_cols) for r in chunk
-                           if r[c] not in m)
-                raise table.error(row, exc, UnknownMember) from None
+                i = next(i for m, c in zip(ids, dim_cols)
+                         for i, label in enumerate(cols[c]) if label not in m)
+                raise table.error(exc, UnknownMember, i) from None
             except ValueError:
-                row, c = next((r, c) for r in chunk for c in measure_cols
-                              if not _is_number(r[c]))
-                raise table.error(row, f"measure {header[c]} is not a number: "
-                                  f"{row[c]!r}") from None
+                i, c = next((i, c) for i in range(n) for c in measure_cols
+                            if not _is_number(cols[c][i]))
+                raise table.error(f"measure {header[c]} is not a number: "
+                                  f"{cols[c][i]!r}", i=i) from None
             if not np.isfinite(values).all():
                 i, k = np.argwhere(~np.isfinite(values))[0]
-                row, c = chunk[i], measure_cols[k]
-                raise table.error(row, f"measure {header[c]} is not finite: "
-                                  f"{row[c]!r}")
+                c = measure_cols[k]
+                raise table.error(f"measure {header[c]} is not finite: "
+                                  f"{cols[c][i]!r}", i=i)
             value_parts.append(values)
     return DetailedCube(tuple(dims), tuple(header[c] for c in measure_cols),
                         np.concatenate(coord_parts, axis=1).T,

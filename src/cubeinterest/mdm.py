@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -229,14 +230,12 @@ class Dimension:
 
 
 def dimension_from_rows(name: str, level_names: list[str],
-                        rows: list[tuple[str, ...]]) -> Dimension:
+                        rows: Iterable[tuple[str, ...]]) -> Dimension:
     """Build a dimension from full rollup paths, one row per base member.
 
     `level_names` runs finest-to-coarsest and must not include ALL. Rows with
     the same member mapped to two different parents are rejected.
     """
-    if not rows:
-        raise EmptyFile(f"dimension {name}: no rollup rows")
     width = len(level_names)
     if width < 1:
         raise EmptyFile(f"dimension {name}: no levels declared")
@@ -269,64 +268,163 @@ def dimension_from_rows(name: str, level_names: list[str],
                     f"dimension {name}: member {row[d]!r} at level "
                     f"{level_names[d]} maps to both "
                     f"{labels[d + 1][known]!r} and {row[d + 1]!r}")
+    if not labels[0]:
+        raise EmptyFile(f"dimension {name}: no rollup rows")
     # every row is a full path, so every member below the top has a parent
     parents = [np.array([parent_of[d][mid] for mid in range(len(labels[d]))],
                         dtype=np.int32) for d in range(width - 1)]
     return Dimension(name, list(level_names), labels, parents)
 
 
-# Rows per chunk. The loader holds one chunk of row strings at a time. On a
-# 500K-row file (2-core host), 4,096-row chunks loaded in 0.45 s with a
-# 72 MB peak and 65,536-row chunks in 0.55 s with a 110 MB peak.
-_CHUNK_ROWS = 4096
+# Characters per block of text, about 1,300 rows of the benchmark's facts.
+# On its 500K-row file (2-core host, median of 7 alternating runs)
+# load_facts took 0.29 s with a 67.0 MB peak, against 0.31 s and 66.7 MB
+# for 2**14, 0.31 s and 67.8 MB for 2**16, and 0.62 s and 68.3 MB reading
+# rows with csv.reader. `_split` leaves a block longer than the csv field
+# limit (131,072 characters by default) to csv.reader, so keep blocks shorter.
+_BLOCK_CHARS = 1 << 15
+
+
+def _texts(fh) -> Iterator[str]:
+    """The rest of `fh` in blocks of `_BLOCK_CHARS` characters, each with
+    the rest of its last line."""
+    while text := fh.read(_BLOCK_CHARS):
+        yield text + fh.readline()
 
 
 class CsvTable(contextlib.AbstractContextManager):
-    """The one reading rule for CSV input, as a context manager: UTF-8 with
-    or without a byte-order mark, a stripped header (else `EmptyFile` naming
-    `what`), then `chunks` of rows, numbered from the header as row 1 with
-    blank rows; short rows are refused and fields past the header ignored."""
+    """The one reading rule for CSV input that README's "Input files" sets
+    out, as a context manager: the header, stripped and less trailing empty
+    fields (none: `EmptyFile` naming `what`), then the rows' `columns` per
+    block of text (`_texts`). A block with no quote whose rows are regular
+    (`_split`) is split at its commas and line ends into the strings
+    `csv.reader` gives; other blocks go through `csv.reader`, and from the
+    first quote on so does the rest of the file, so quoted fields may span
+    blocks."""
 
     def __init__(self, path: str | Path, what: str):
         self.path = Path(path)
         self._fh = self.path.open(newline="", encoding="utf-8-sig")
-        self._reader = csv.reader(self._fh)
-        header = next(self._reader, None)
+        # the next row's number, the last block's row numbers and the index
+        # in them of the row `rows` gave last (None for the header, row 1)
+        self._next, self._numbers, self._at = 2, [], None
+        try:
+            header = next(csv.reader(self._fh), None)
+        except csv.Error as exc:
+            self._fh.close()
+            raise self.error(exc) from None
         if header is None:
             self._fh.close()
             raise EmptyFile(f"{self.path}: empty {what}")
         self.header = [h.strip() for h in header]
-        # the rows `error` can number: the header, then the last chunk read
-        self._first, self._raw = 1, [self.header]
+        while self.header and not self.header[-1]:
+            self.header.pop()
 
     def __exit__(self, *exc):
         self._fh.close()
 
-    def chunks(self) -> Iterator[list[list[str]]]:
-        """The rows in chunks of `_CHUNK_ROWS` as read, less blank rows."""
+    def columns(self) -> Iterator[list[list[str]]]:
+        """Per block of text, the header's columns of its rows less blank
+        ones; a block of blank rows, or a header without fields, gives none."""
         width = len(self.header)
-        while raw := list(itertools.islice(self._reader, _CHUNK_ROWS)):
-            self._first, self._raw = self._first + len(self._raw), raw
-            if chunk := [r for r in raw if any(map(str.strip, r))]:
-                if min(map(len, chunk)) < width:
-                    row = next(r for r in chunk if len(r) < width)
-                    raise self.error(row, f"{len(row)} fields, header has {width}")
-                yield chunk
+        texts = _texts(self._fh) if width else ()
+        for text in texts:
+            quoted = '"' in text
+            if not quoted and (cols := _split(text, width)):
+                self._numbers = range(self._next, self._next + len(cols[0]))
+                self._next += len(cols[0])
+                yield cols
+                continue
+            for raw in self._parsed([text], texts if quoted else ()):
+                keep = [k for k, r in enumerate(raw) if any(map(str.strip, r))]
+                self._numbers = [self._next + k for k in keep]
+                self._next += len(raw)
+                rows = [raw[k] for k in keep]
+                if short := [k for k, r in enumerate(rows) if len(r) < width]:
+                    raise self.error(f"{len(rows[short[0]])} fields, header "
+                                     f"has {width}", i=short[0])
+                if rows:
+                    yield [list(c) for c in zip(*rows)][:width]
 
-    def error(self, row, what, kind: type = MalformedFactRow) -> Exception:
-        """A `kind` error naming the file and the number of `row` in it."""
-        k = next(k for k, r in enumerate(self._raw) if r is row)
-        return kind(f"{self.path}: row {self._first + k}: {what}")
+    def rows(self) -> Iterator[tuple[str, ...]]:
+        """The rows less blank ones as tuples of the header's width; until
+        they run out, `error` names by default the row given last."""
+        for cols in self.columns():
+            for self._at, row in enumerate(zip(*cols)):
+                yield row
+        self._at = None
+
+    def error(self, what, kind: type = MalformedFactRow,
+              i: int | None = None) -> Exception:
+        """A `kind` error naming the file and row `i` of the block `columns`
+        gave last, by default the row `rows` gave last (the header, row 1,
+        before any)."""
+        i = self._at if i is None else i
+        number = 1 if i is None else self._numbers[i]
+        return kind(f"{self.path}: row {number}: {what}")
+
+    def _parsed(self, *texts) -> Iterator[list[list[str]]]:
+        """The rows `csv.reader` reads from the `texts`, a list per text of
+        the rows ending in it; then any `csv.Error`, naming its row."""
+        cut = False  # whether the last line given ends its text
+
+        def lines():
+            nonlocal cut
+            for text in itertools.chain(*texts):
+                *head, last = io.StringIO(text, newline="")
+                cut = False
+                yield from head
+                cut = True
+                yield last
+
+        raw = []
+        try:
+            for row in csv.reader(lines()):
+                raw.append(row)
+                if cut:
+                    yield raw
+                    raw = []
+            return
+        except csv.Error as exc:
+            error = MalformedFactRow(
+                f"{self.path}: row {self._next + len(raw)}: {exc}")
+        yield raw  # the rows before the refused one come first
+        raise error
+
+
+def _split(text: str, width: int) -> list[list[str]] | None:
+    """The columns of a quote-free block of text ending in a line end, if
+    no row is irregular; CRLF ends a line as LF does, in `csv.reader` too.
+    A block longer than the csv field limit may hold a longer field, so it
+    counts as irregular."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if (not text.endswith("\n") or "\r" in text
+            or len(text) > csv.field_size_limit()):
+        return None
+    # Each LF now starts a field: the next row's first, or a last one of
+    # its own. The rows are regular iff there are width fields per row and
+    # that last one, and the fields at every width-th place hold all n LFs.
+    flat = text.replace("\n", ",\n").split(",")
+    n, heads = text.count("\n"), "".join(flat[width::width])
+    if len(flat) != n * width + 1 or heads.count("\n") != n:
+        return None
+    first = [flat[0], *heads.split("\n")[1:-1]]  # less the LFs
+    if "" in first or any(map(str.isspace, first)):
+        return None
+    return [first] + [flat[c::width] for c in range(1, width)]
 
 
 def load_dimension(path: str | Path, name: str | None = None) -> Dimension:
     """Load a dimension from a hierarchy CSV, read by `CsvTable`.
 
     The header names the levels finest-to-coarsest (no ALL column); each data
-    row is one base member's full rollup path.
+    row is one base member's full rollup path. Errors name the file and row.
     """
     with CsvTable(path, "hierarchy file") as table:
-        width = len(table.header)
-        rows = [tuple(r[:width]) for chunk in table.chunks() for r in chunk]
-    return dimension_from_rows(table.path.stem if name is None else name,
-                               table.header, rows)
+        try:
+            return dimension_from_rows(
+                table.path.stem if name is None else name, table.header,
+                table.rows())
+        except InconsistentRollup as exc:
+            raise table.error(exc, InconsistentRollup) from None

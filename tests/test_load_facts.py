@@ -1,4 +1,4 @@
-"""Fact loading: chunked round trip, malformed rows and label lookups."""
+"""Fact loading: round trip across blocks, malformed rows and label lookups."""
 
 import numpy as np
 import pytest
@@ -33,9 +33,10 @@ def _write(path, header, rows):
     return path
 
 
-def test_round_trip_across_chunks(star):
+def test_round_trip_across_chunks(star, monkeypatch):
     out, dims = star
-    assert ROWS > 2 * mdm._CHUNK_ROWS
+    monkeypatch.setattr(mdm, "_BLOCK_CHARS", 1 << 15)
+    assert (out / "facts.csv").stat().st_size > 2 * mdm._BLOCK_CHARS
     cube = load_facts(out / "facts.csv", dims)
     ref = generate_star_data(ROWS, SEED).cube()
     assert cube.measures == ("Amt",)
@@ -78,11 +79,12 @@ def test_blank_lines_and_padding(star, tmp_path):
     assert cube.values.tolist() == [[12.5], [1000.0]]
 
 
-def test_duplicates_in_different_chunks(star, tmp_path):
+def test_duplicates_in_different_chunks(star, tmp_path, monkeypatch):
     out, dims = star
+    monkeypatch.setattr(mdm, "_BLOCK_CHARS", 1 << 15)
     lines = (out / "facts.csv").read_text().splitlines()
-    assert len(lines) - 1 > mdm._CHUNK_ROWS
     path = _write(tmp_path / "f.csv", lines[0], [*lines[1:], lines[1]])
+    assert path.stat().st_size > 2 * mdm._BLOCK_CHARS
     with pytest.raises(DuplicateCoordinates):
         load_facts(path, dims)
 
@@ -132,9 +134,9 @@ def test_non_numeric_measure_is_malformed(star, tmp_path):
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf"])
 def test_non_finite_measure_is_malformed(star, tmp_path, monkeypatch, value):
     """A measure `float` parses but that is not finite is refused, naming
-    the file, the row (in a later chunk, blank rows counted) and the field."""
+    the file, the row (in a later block, blank rows counted) and the field."""
     _, dims = star
-    monkeypatch.setattr(mdm, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(mdm, "_BLOCK_CHARS", 40)
     path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
         "A0001,A,1996-01-01,10",
         "",
@@ -185,10 +187,10 @@ def test_cli_refuses_non_finite_numbers(star, tmp_path, capsys, bad_file):
 ])
 def test_unknown_label_names_file_and_row(star, tmp_path, monkeypatch,
                                           bad, row_no, what):
-    """The row is found in a later chunk, blank rows counted, whichever
+    """The row is found in a later block, blank rows counted, whichever
     column holds the unknown label."""
     _, dims = star
-    monkeypatch.setattr(mdm, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(mdm, "_BLOCK_CHARS", 40)
     path = _write(tmp_path / "facts.csv", "Account,Status,Day,Amt", [
         "A0001,A,1996-01-01,10",
         "",
